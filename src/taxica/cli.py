@@ -57,7 +57,10 @@ def _jsonable(obj):
 
 
 def _dumps(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), indent=2) + "\n"
+    try:
+        return json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # a NaN or infinity reached the payload
+        raise NumericalError(f"result is not finite: {exc}") from exc
 
 
 def _digest(table: ContingencyTable) -> dict:
@@ -338,7 +341,7 @@ def _cmd_compare(args) -> str:
     table = _load_table(args)
     d_ca = _decompose(args, table, "ca")
     d_tca = _decompose(args, table, "tca")
-    axes = args.axes if args.axes is not None else 2
+    axes = args.axes if args.axes is not None else min(2, d_ca.rank_used, d_tca.rank_used)
     report = map_similarity(d_ca, d_tca, axes=axes, threshold=args.phi_threshold)
     payload = {
         "schema": SCHEMA_VERSION,

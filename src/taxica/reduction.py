@@ -48,6 +48,20 @@ class ReductionTrace:
         return not self.steps
 
 
+def _proportional_to(line, line_sum, others, other_sums, tol: float) -> np.ndarray:
+    """Which rows of ``others`` are proportional to ``line``.
+
+    Cross-multiplies, (sum other) * line against (sum line) * other, and
+    allows each elementwise difference ``tol`` relative to the larger of the
+    two sides. Returns one boolean per row of ``others``. Every comparison
+    is elementwise, so the answer for a pair does not depend on how many
+    rows are tested at once.
+    """
+    lhs = other_sums[:, None] * line
+    rhs = line_sum * others
+    return np.all(np.abs(lhs - rhs) <= tol * np.maximum(np.abs(lhs), np.abs(rhs)), axis=1)
+
+
 def proportional(x, y, tol: float = 1e-9) -> bool:
     """Test whether two nonnegative vectors are proportional.
 
@@ -64,16 +78,16 @@ def proportional(x, y, tol: float = 1e-9) -> bool:
     sy = float(y.sum())
     if sx <= 0 or sy <= 0:
         raise ValidationError("proportionality is undefined for zero-sum vectors")
-    lhs = sy * x
-    rhs = sx * y
-    return bool(np.all(np.abs(lhs - rhs) <= tol * np.maximum(np.abs(lhs), np.abs(rhs))))
+    return bool(_proportional_to(x, sx, y[None, :], np.array([sy]), tol)[0])
 
 
 def _proportional_groups(lines: np.ndarray, tol: float) -> list[list[int]]:
     """Partition line indices by transitive proportionality.
 
-    The grouping derives from the full pairwise relation (union-find over all
-    pairs), so the result does not depend on evaluation order.
+    Line i is tested against all lines after it in one vectorized call, and
+    every hit joins a union-find whose roots are the smallest index of their
+    group. The grouping derives from the full pairwise relation, so it does
+    not depend on evaluation order.
     """
     m = lines.shape[0]
     parent = list(range(m))
@@ -85,14 +99,12 @@ def _proportional_groups(lines: np.ndarray, tol: float) -> list[list[int]]:
         return a
 
     sums = lines.sum(axis=1)
-    for i in range(m):
-        for j in range(i + 1, m):
-            lhs = sums[j] * lines[i]
-            rhs = sums[i] * lines[j]
-            if np.all(np.abs(lhs - rhs) <= tol * np.maximum(np.abs(lhs), np.abs(rhs))):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    for i in range(m - 1):
+        near = _proportional_to(lines[i], sums[i], lines[i + 1:], sums[i + 1:], tol)
+        for j in (np.flatnonzero(near) + (i + 1)).tolist():
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
 
     groups: dict[int, list[int]] = {}
     for i in range(m):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import NumericalError, ParseError, ValidationError
 
 __all__ = [
     "ContingencyTable",
@@ -34,7 +34,8 @@ class ContingencyTable:
         row_labels: unique labels for the I rows.
         col_labels: unique labels for the J columns.
         counts: I x J float64 array, nonnegative, read-only.
-        n: grand total of all counts (strictly positive).
+        n: grand total of all counts (strictly positive and finite; a total
+            that overflows float64 raises :class:`NumericalError`).
     """
 
     row_labels: tuple[str, ...]
@@ -71,7 +72,10 @@ class ContingencyTable:
                 if lab in seen:
                     raise ValidationError(f"duplicate {axis_name} label '{lab}'")
                 seen.add(lab)
-        total = float(counts.sum())
+        with np.errstate(over="ignore"):
+            total = float(counts.sum())
+        if not math.isfinite(total):
+            raise NumericalError("table total overflows float64 (n is not finite)")
         if total <= 0.0:
             raise ValidationError("table total is zero (n = 0)")
         counts.setflags(write=False)
@@ -217,17 +221,17 @@ def validate_table(
     """
     if policy not in ("drop", "reject"):
         raise ValueError(f"unknown policy {policy!r}, expected 'drop' or 'reject'")
-    zero_rows = np.flatnonzero(table.counts.sum(axis=1) == 0)
-    zero_cols = np.flatnonzero(table.counts.sum(axis=0) == 0)
-    if zero_rows.size == 0 and zero_cols.size == 0:
+    row_zero = table.counts.sum(axis=1) == 0
+    col_zero = table.counts.sum(axis=0) == 0
+    if not (row_zero.any() or col_zero.any()):
         return table, []
-    names = [f"row '{table.row_labels[i]}'" for i in zero_rows]
-    names += [f"column '{table.col_labels[j]}'" for j in zero_cols]
+    names = [f"row '{table.row_labels[i]}'" for i in np.flatnonzero(row_zero)]
+    names += [f"column '{table.col_labels[j]}'" for j in np.flatnonzero(col_zero)]
     if policy == "reject":
         raise ValidationError("all-zero lines present: " + ", ".join(names))
     warnings = [f"{name} dropped (all entries zero)" for name in names]
-    keep_r = [i for i in range(table.shape[0]) if i not in set(zero_rows)]
-    keep_c = [j for j in range(table.shape[1]) if j not in set(zero_cols)]
+    keep_r = np.flatnonzero(~row_zero)
+    keep_c = np.flatnonzero(~col_zero)
     reduced = ContingencyTable(
         tuple(table.row_labels[i] for i in keep_r),
         tuple(table.col_labels[j] for j in keep_c),

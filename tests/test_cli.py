@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from taxica import parse_table
-from taxica.cli import run_cli
+from taxica import NumericalError, parse_table
+from taxica.cli import _dumps, run_cli
 
 from helpers import DATA_DIR, cli_env
 
@@ -133,6 +133,19 @@ class TestCompareAndVerify:
         )
         assert payload["similarity"]["verdict"] == "partial"
 
+    def test_rank_one_table_defaults_to_one_axis(self, capsys, tmp_path):
+        diagonal = tmp_path / "diag.csv"
+        diagonal.write_text(",a,b\nr1,1,0\nr2,0,1\n")
+        for path in (TOY, str(diagonal)):
+            payload = run_json(capsys, ["compare", "--input", path])
+            assert len(payload["ca"]["sigmas"]) == 1
+            assert len(payload["similarity"]["axes"]) == 1
+            assert payload["similarity"]["verdict"] == "similar"
+
+    def test_explicit_axes_beyond_rank_rejected(self, capsys):
+        assert run_cli(["compare", "--input", TOY, "--axes", "2"]) == 2
+        assert "out of range 1..1" in capsys.readouterr().err
+
     def test_verify_all_checks_pass(self, capsys):
         payload = run_json(capsys, ["verify", "--input", RODENTS])
         assert payload["ca"]["passed"] and payload["tca"]["passed"]
@@ -180,6 +193,20 @@ class TestErrorsAndWarnings:
         path.write_text(",a,b\nr1,1.5,2\nr2,3,4\n")
         assert run_cli(["summarize", "--input", str(path)]) == 0
         assert "non-integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ca", "tca", "summarize", "reduce"])
+    def test_overflowing_total_exits_3(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.csv"
+        path.write_text(",a,b\nr1,1e308,1e308\nr2,1e308,5e307\n")
+        assert run_cli([command, "--input", str(path), "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert "NaN" not in captured.out and "Infinity" not in captured.out
+        assert "numerical error" in captured.err
+
+    def test_non_finite_payload_is_a_numerical_error(self):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(NumericalError, match="not finite"):
+                _dumps({"sigma": value})
 
     def test_zero_row_dropped_with_warning(self, capsys, tmp_path):
         path = tmp_path / "zeros.csv"

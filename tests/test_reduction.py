@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from taxica import (
@@ -11,6 +13,7 @@ from taxica import (
     reduce_to_minimal,
     tca_decompose,
 )
+from taxica.reduction import _proportional_groups
 
 from helpers import load_table, make_table, random_tables
 
@@ -137,6 +140,117 @@ class TestReduceToMinimal:
             trace = reduce_to_minimal(table)
             assert trace.minimal.n == table.n
             assert reduce_to_minimal(trace.minimal).is_already_minimal
+
+
+def brute_force_groups(lines: np.ndarray, tol: float) -> list[list[int]]:
+    """Connected components of the pair relation ``proportional`` defines,
+    built from every pair one at a time; each component lists its members in
+    increasing order and the components are ordered by their first member."""
+    m = lines.shape[0]
+    neighbours = [
+        [j for j in range(m) if j != i and proportional(lines[i], lines[j], tol)]
+        for i in range(m)
+    ]
+    seen: set[int] = set()
+    groups = []
+    for start in range(m):
+        if start in seen:
+            continue
+        component, stack = {start}, [start]
+        while stack:
+            for j in neighbours[stack.pop()]:
+                if j not in component:
+                    component.add(j)
+                    stack.append(j)
+        seen |= component
+        groups.append(sorted(component))
+    return groups
+
+
+@st.composite
+def planted_integer_lines(draw):
+    """Integer lines that are integer multiples of a few base profiles."""
+    n_cols = draw(st.integers(1, 6))
+    n_base = draw(st.integers(1, 4))
+    bases = draw(
+        st.lists(
+            st.lists(st.integers(0, 5), min_size=n_cols, max_size=n_cols),
+            min_size=n_base,
+            max_size=n_base,
+        )
+    )
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, n_base - 1), st.integers(1, 4)),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    lines = np.array([[k * v for v in bases[b]] for b, k in picks], dtype=float)
+    assume(np.all(lines.sum(axis=1) > 0))
+    return lines
+
+
+TOL = 1e-6
+
+
+@st.composite
+def weighted_float_lines(draw):
+    """Float-weighted multiples of a few base profiles, each entry nudged by
+    a relative amount on the order of ``TOL``, so that pairs of lines sit on
+    both sides of the tolerance and chains that are not transitive occur."""
+    n_cols = draw(st.integers(1, 5))
+    n_base = draw(st.integers(1, 3))
+    bases = draw(
+        st.lists(
+            st.lists(st.integers(0, 9), min_size=n_cols, max_size=n_cols),
+            min_size=n_base,
+            max_size=n_base,
+        )
+    )
+    nudges = st.sampled_from([k * 0.4 * TOL for k in range(-4, 5)])
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n_base - 1),
+                st.floats(0.1, 50.0),
+                st.lists(nudges, min_size=n_cols, max_size=n_cols),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    lines = np.array(
+        [
+            [w * v * (1.0 + e) for v, e in zip(bases[b], nudge)]
+            for b, w, nudge in rows
+        ]
+    )
+    assume(np.all(lines.sum(axis=1) > 0))
+    return lines
+
+
+class TestProportionalGroups:
+    @given(planted_integer_lines(), st.sampled_from([0.0, 1e-9]))
+    @settings(max_examples=80, deadline=None)
+    def test_integer_lines_match_brute_force(self, lines, tol):
+        assert _proportional_groups(lines, tol) == brute_force_groups(lines, tol)
+
+    @given(weighted_float_lines())
+    @settings(max_examples=80, deadline=None)
+    def test_float_lines_match_brute_force(self, lines):
+        assert _proportional_groups(lines, TOL) == brute_force_groups(lines, TOL)
+
+    def test_non_transitive_chain_is_one_group(self):
+        # a ~ b and b ~ c within the tolerance, but a and c differ by more
+        a = [1.0, 1.0]
+        b = [1.0, 1.0 + 1.5 * TOL]
+        c = [1.0, 1.0 + 3.0 * TOL]
+        assert proportional(a, b, TOL) and proportional(b, c, TOL)
+        assert not proportional(a, c, TOL)
+        # a line merged into an earlier one must still be tested against the rest
+        lines = np.array([a, b, [5.0, 0.0], c])
+        assert _proportional_groups(lines, TOL) == [[0, 1, 3], [2]]
 
 
 class TestApplyGrouping:

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from taxica import (
     ContingencyTable,
+    NumericalError,
     ParseError,
     ValidationError,
     build_model,
@@ -106,6 +107,21 @@ class TestValidate:
         assert cleaned.shape == (2, 2)
         assert len(warnings) == 1 and "row 'r3'" in warnings[0]
 
+    def test_drop_interleaved_zero_rows_and_columns(self):
+        table = make_table(
+            [[0, 1, 0, 2], [0, 0, 0, 0], [0, 3, 0, 4], [0, 0, 0, 0]]
+        )
+        cleaned, warnings = validate_table(table, policy="drop")
+        assert cleaned.row_labels == ("r1", "r3")
+        assert cleaned.col_labels == ("c2", "c4")
+        assert cleaned.counts.tolist() == [[1, 2], [3, 4]]
+        assert warnings == [
+            "row 'r2' dropped (all entries zero)",
+            "row 'r4' dropped (all entries zero)",
+            "column 'c1' dropped (all entries zero)",
+            "column 'c3' dropped (all entries zero)",
+        ]
+
     def test_already_valid(self):
         table = make_table([[1, 0], [0, 2]])
         cleaned, warnings = validate_table(table)
@@ -126,6 +142,11 @@ class TestValidate:
             make_table([[1, 2], [3, 4]], row_labels=("a", "a"))
         with pytest.raises(ValidationError, match="negative count"):
             make_table([[1, -2], [3, 4]])
+
+    def test_construction_rejects_overflowing_total(self):
+        # every count is finite, but their sum exceeds the float64 range
+        with pytest.raises(NumericalError, match="not finite"):
+            make_table([[1e308, 1e308], [1e308, 5e307]])
 
 
 class TestBuildModel:
