@@ -217,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--exact-threshold", type=int, default=EXACT_THRESHOLD,
             help="largest min(I,J) solved by exact sign enumeration "
-            f"(default {EXACT_THRESHOLD})",
+            f"(at most {EXACT_THRESHOLD}, the default)",
         )
         p.add_argument("--axes", type=int, default=None, help="number of axes to report")
 

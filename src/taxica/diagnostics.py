@@ -11,6 +11,7 @@ its axis influence at |SC| = 500.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,9 @@ __all__ = [
     "verify",
     "map_similarity",
 ]
+
+#: Most axes ``map_similarity`` matches: the search tries all k! pairings.
+MAX_MATCHED_AXES = 9
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,7 +293,13 @@ def map_similarity(
     The first ``axes`` axes of each side are matched one-to-one so that total
     congruence is maximal. Verdict: "similar" when every paired congruence
     reaches ``threshold``, "dissimilar" when none does, "partial" otherwise.
+    More than ``MAX_MATCHED_AXES`` axes raise :class:`ValidationError`.
     """
+    if axes > MAX_MATCHED_AXES:
+        raise ValidationError(
+            f"axes={axes} would search {axes}! = {math.factorial(axes)} pairings; "
+            f"at most {MAX_MATCHED_AXES} axes ({math.factorial(MAX_MATCHED_AXES)} pairings) are matched"
+        )
     if d1.model.shape != d2.model.shape or not np.allclose(
         d1.model.P, d2.model.P, rtol=0.0, atol=1e-12
     ):

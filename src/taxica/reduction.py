@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .table import ContingencyTable
 
 __all__ = ["MergeStep", "ReductionTrace", "proportional", "reduce_to_minimal", "apply_grouping"]
@@ -48,6 +48,20 @@ class ReductionTrace:
         return not self.steps
 
 
+def _check_cross_products(max_abs: float, max_sum: float) -> None:
+    """Refuse lines whose cross-products in ``_proportional_to`` overflow.
+
+    Every cross-product is a line sum times an entry, so it is bounded by
+    ``max_abs * max_sum``. Past the float range the products become inf and
+    ``inf <= tol * inf`` would call lines with disjoint support proportional.
+    """
+    if not np.isfinite(max_abs * max_sum):
+        raise NumericalError(
+            "proportionality test overflows: largest entry times largest line sum "
+            f"({max_abs:.6g} * {max_sum:.6g}) exceeds the float range; rescale the table"
+        )
+
+
 def _proportional_to(line, line_sum, others, other_sums, tol: float) -> np.ndarray:
     """Which rows of ``others`` are proportional to ``line``.
 
@@ -78,6 +92,7 @@ def proportional(x, y, tol: float = 1e-9) -> bool:
     sy = float(y.sum())
     if sx <= 0 or sy <= 0:
         raise ValidationError("proportionality is undefined for zero-sum vectors")
+    _check_cross_products(float(max(np.abs(x).max(), np.abs(y).max())), max(sx, sy))
     return bool(_proportional_to(x, sx, y[None, :], np.array([sy]), tol)[0])
 
 
@@ -99,6 +114,7 @@ def _proportional_groups(lines: np.ndarray, tol: float) -> list[list[int]]:
         return a
 
     sums = lines.sum(axis=1)
+    _check_cross_products(float(np.abs(lines).max()), float(sums.max()))
     for i in range(m - 1):
         near = _proportional_to(lines[i], sums[i], lines[i + 1:], sums[i + 1:], tol)
         for j in (np.flatnonzero(near) + (i + 1)).tolist():

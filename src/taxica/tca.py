@@ -32,7 +32,8 @@ __all__ = [
     "diagonal_sigma1",
 ]
 
-#: Largest min(I, J) for which an axis is solved by exact enumeration.
+#: Largest min(I, J) for which an axis is solved by exact enumeration, and
+#: the largest ``exact_threshold`` accepted: 2^(20-1) candidates per axis.
 EXACT_THRESHOLD = 20
 
 #: Dimension cap for the cut-norm oracle (2^min(I,J) subset sums).
@@ -41,7 +42,10 @@ CUT_NORM_MAX_DIM = 15
 #: Length cap for the diagonal subset-sum enumeration.
 DIAGONAL_MAX_LEN = 25
 
-_ENUM_CHUNK = 1 << 14
+#: Candidates scored per chunk of the sign enumerations: 2^11 columns keep
+#: the I x chunk score buffer cache-sized (2 MB at I = 120).
+_ENUM_CHUNK_BITS = 11
+_ENUM_CHUNK = 1 << _ENUM_CHUNK_BITS
 
 
 def sign_vector(x: np.ndarray) -> np.ndarray:
@@ -70,36 +74,40 @@ class TcaAxisSolution:
         self.v.setflags(write=False)
 
 
-def _sign_chunk(start: int, stop: int, dim: int) -> np.ndarray:
-    """Columns start..stop-1 of the half-sphere sign matrix, lex order.
-
-    Candidate m encodes components 2..dim: bit (dim-1-j) of m gives component
-    j, 0 meaning +1, so ascending m is ascending lexicographic order with
-    +1 < -1 and the first component pinned to +1.
-    """
-    ms = np.arange(start, stop, dtype=np.int64)
-    signs = np.empty((dim, ms.size))
-    signs[0, :] = 1.0
-    for j in range(1, dim):
-        signs[j, :] = 1.0 - 2.0 * ((ms >> (dim - 1 - j)) & 1)
-    return signs
-
-
 def _enumerate_best(R: np.ndarray) -> tuple[float, np.ndarray, int]:
     """Maximize ||R w||_1 over sign vectors w with w[0] = +1.
 
-    Returns (objective, w, candidates). The first strict maximum in lex order
-    wins ties, so the result is the lexicographically smallest maximizer
-    under +1 < -1.
+    Returns (objective, w, candidates). Candidate m encodes components
+    2..dim: bit (dim-1-j) of m gives component j, 0 meaning +1, so ascending
+    m is ascending lexicographic order with +1 < -1. The first strict
+    maximum wins ties, so the result is the lexicographically smallest
+    maximizer.
+
+    Candidates are scored in chunks of ``_ENUM_CHUNK`` consecutive m into
+    preallocated buffers. Within a chunk only the low ``_ENUM_CHUNK_BITS``
+    bits of m vary, so the low rows of the sign block are built once and the
+    high rows are refilled with one constant each per chunk. Each objective
+    is still one gemm element per cell and a row-by-row column sum, so it is
+    the same float as in a one-shot ``np.abs(R @ signs).sum(axis=0)``.
     """
-    dim = R.shape[1]
-    total = 1 << (dim - 1) if dim > 1 else 1
+    I, dim = R.shape
+    total = 1 << (dim - 1)
+    width = min(total, _ENUM_CHUNK)
+    low = min(dim - 1, _ENUM_CHUNK_BITS)
+    high = dim - low  # rows 0..high-1 are constant within a chunk
+    ms = np.arange(width, dtype=np.int64)
+    signs = np.empty((dim, width))
+    signs[high:, :] = 1.0 - 2.0 * ((ms >> np.arange(low - 1, -1, -1)[:, None]) & 1)
+    shifts = np.arange(high - 2, -1, -1)
+    buf = np.empty((I, width))
+    objs = np.empty(width)
     best_obj = -np.inf
     best_w = None
-    for start in range(0, total, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, total)
-        signs = _sign_chunk(start, stop, dim)
-        objs = np.abs(R @ signs).sum(axis=0)
+    for chunk in range(total // width):
+        signs[:high, :] = np.concatenate(([1.0], 1.0 - 2.0 * ((chunk >> shifts) & 1)))[:, None]
+        np.matmul(R, signs, out=buf)
+        np.abs(buf, out=buf)
+        np.add.reduce(buf, axis=0, out=objs)
         i = int(np.argmax(objs))
         if objs[i] > best_obj:
             best_obj = float(objs[i])
@@ -183,9 +191,15 @@ def tca_decompose(
     set f = Dr^{-1} R u, v = sign(f), g = Dc^{-1} R' v and
     sigma = sum_i r_i |f_i|, then deflate R by the rank-one term
     Dr f g' Dc / sigma. The axis solver is exact while min(I, J) is at most
-    ``exact_threshold`` and the multi-start ascent beyond. Deflation stops
+    ``exact_threshold`` (at most ``EXACT_THRESHOLD``, else
+    :class:`ValidationError`) and the multi-start ascent beyond. Deflation stops
     early once sigma falls below ``RANK_CUTOFF`` times the first dispersion.
     """
+    if exact_threshold > EXACT_THRESHOLD:
+        raise ValidationError(
+            f"exact_threshold={exact_threshold} exceeds the limit {EXACT_THRESHOLD}: "
+            "exact enumeration tries 2^(min(I, J) - 1) sign vectors per axis"
+        )
     I, J = model.shape
     k_max = min(I, J) - 1
     if max_axes is None:

@@ -114,6 +114,12 @@ class TestEngines:
         assert run_cli(["ca", "--input", TV, "--axes", "9"]) == 2
         assert "out of range" in capsys.readouterr().err
 
+    def test_exact_threshold_above_limit(self, capsys):
+        assert run_cli(["tca", "--input", TV, "--exact-threshold", "21"]) == 2
+        assert "exceeds the limit 20" in capsys.readouterr().err
+        payload = run_json(capsys, ["tca", "--input", TV, "--exact-threshold", "20"])
+        assert payload["tca"]["sigmas"][0] == pytest.approx(0.355921, abs=1e-6)
+
 
 class TestCompareAndVerify:
     def test_tv_similar(self, capsys):
@@ -145,6 +151,10 @@ class TestCompareAndVerify:
     def test_explicit_axes_beyond_rank_rejected(self, capsys):
         assert run_cli(["compare", "--input", TOY, "--axes", "2"]) == 2
         assert "out of range 1..1" in capsys.readouterr().err
+
+    def test_axes_beyond_pairing_cap_rejected(self, capsys):
+        assert run_cli(["compare", "--input", RODENTS, "--axes", "10"]) == 2
+        assert "10! = 3628800 pairings" in capsys.readouterr().err
 
     def test_verify_all_checks_pass(self, capsys):
         payload = run_json(capsys, ["verify", "--input", RODENTS])
@@ -202,6 +212,16 @@ class TestErrorsAndWarnings:
         captured = capsys.readouterr()
         assert "NaN" not in captured.out and "Infinity" not in captured.out
         assert "numerical error" in captured.err
+
+    @pytest.mark.parametrize("argv", [["reduce"], ["summarize"], ["tca", "--reduced"]])
+    def test_overflowing_cross_products_exit_3(self, capsys, tmp_path, argv):
+        # The total is finite, but count times line sum passes 1.8e308.
+        path = tmp_path / "disjoint.csv"
+        path.write_text(",a,b\nr1,1e200,0\nr2,0,1e200\nr3,1,1\n")
+        assert run_cli([*argv, "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert "r1+r2" not in captured.out
+        assert "numerical error" in captured.err and "overflows" in captured.err
 
     def test_non_finite_payload_is_a_numerical_error(self):
         for value in (float("nan"), float("inf")):

@@ -150,6 +150,10 @@ class TestVerify:
 
 
 class TestMapSimilarity:
+    def test_pairing_search_capped(self, tv_ca):
+        with pytest.raises(ValidationError, match="10! = 3628800 pairings"):
+            map_similarity(tv_ca, tv_ca, axes=10)
+
     def test_self_comparison(self, tv_ca):
         report = map_similarity(tv_ca, tv_ca, axes=2)
         assert report.verdict == "similar"

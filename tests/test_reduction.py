@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from taxica import (
+    NumericalError,
     ValidationError,
     apply_grouping,
     build_model,
@@ -31,6 +32,12 @@ class TestProportional:
     def test_integer_inputs_exact_with_zero_tolerance(self):
         assert proportional([2, 4, 6], [3, 6, 9], tol=0.0)
         assert not proportional([2, 4, 6], [3, 6, 10], tol=0.0)
+
+    def test_overflowing_cross_products_rejected(self):
+        with pytest.raises(NumericalError, match="overflows"):
+            proportional([1e200, 0.0], [0.0, 1e200])
+        with pytest.raises(NumericalError, match="overflows"):
+            reduce_to_minimal(make_table([[1e200, 0], [0, 1e200], [1, 1]]))
 
     def test_zero_sum_vector_rejected(self):
         with pytest.raises(ValidationError, match="zero-sum"):

@@ -13,7 +13,37 @@ from taxica import (
     verify,
 )
 
+from taxica.tca import EXACT_THRESHOLD, _enumerate_best
+
 from helpers import make_table, random_tables
+
+
+def _enumerate_oracle(R):
+    """One-shot enumeration: every half-sphere sign vector in one gemm,
+    lex order (+1 < -1, first component +1), first argmax."""
+    dim = R.shape[1]
+    ms = np.arange(1 << (dim - 1))
+    low = 1.0 - 2.0 * ((ms >> np.arange(dim - 2, -1, -1)[:, None]) & 1)
+    signs = np.vstack([np.ones(ms.size), low])
+    objs = np.abs(R @ signs).sum(axis=0)
+    i = int(np.argmax(objs))
+    return objs[i], signs[:, i], ms.size
+
+
+def _enumeration_case(rows, dim, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "rank1":  # small integer factors: many exactly tied objectives
+        return np.outer(rng.integers(-2, 3, rows), rng.integers(-2, 3, dim)) / 7.0
+    if kind == "ternary":  # entries -1, 0, 1: ties between unrelated sign vectors
+        return rng.integers(-1, 2, (rows, dim)).astype(np.float64)
+    R = rng.normal(size=(rows, dim))
+    if kind == "sparse":
+        R *= rng.random((rows, dim)) < 0.3
+        R -= R.mean(axis=0)
+        R -= R.mean(axis=1, keepdims=True)
+    elif kind == "zero-columns":
+        R[:, rng.choice(dim, size=max(1, dim // 3), replace=False)] = 0.0
+    return R
 
 
 class TestAxisExact:
@@ -51,6 +81,41 @@ class TestAxisExact:
         R0 = build_model(rodents_table).R0
         sol = tca_axis_exact(R0)
         assert_allclose(sol.v, np.where(R0 @ sol.u < 0, -1.0, 1.0))
+
+
+class TestEnumerateBest:
+    """The chunked enumeration against the one-shot oracle, bit for bit.
+
+    The chunk is 2^11 candidates, so dim 12 fills exactly one chunk, dim 11
+    half of one and dim 13 two."""
+
+    @pytest.mark.parametrize("kind", ["gauss", "sparse", "zero-columns", "rank1", "ternary"])
+    @pytest.mark.parametrize(
+        "rows, dim",
+        [(rows, dim) for rows in (2, 3, 5, 40) for dim in (1, 2, 5, 11, 12, 13)]
+        + [(2, 16), (4, 15), (3, 14)],
+    )
+    def test_matches_one_shot_oracle(self, rows, dim, kind):
+        R = _enumeration_case(rows, dim, kind, seed=1000 * rows + 10 * dim + len(kind))
+        objective, w, tried = _enumerate_best(R)
+        expected_objective, expected_w, expected_tried = _enumerate_oracle(R)
+        assert objective == expected_objective
+        assert w.tolist() == expected_w.tolist()
+        assert tried == expected_tried == 2 ** (dim - 1)
+
+    def test_ties_go_to_lex_first_candidate_across_chunks(self):
+        # Rows a, b give ||R u||_1 = max(|(a+b) u|, |(a-b) u|), so exactly
+        # u = sign(a+b) and u = sign(a-b) tie at 14. They differ in
+        # components 1 and 2, which select the chunk; +1 < -1 puts
+        # sign(a+b) first.
+        plus = np.ones(14)
+        plus[2] = -1.0
+        minus = np.ones(14)
+        minus[1] = -1.0
+        R = np.vstack([(plus + minus) / 2, (plus - minus) / 2])
+        objective, w, _ = _enumerate_best(R)
+        assert objective == 14.0
+        assert w.tolist() == plus.tolist()
 
 
 class TestAxisIterative:
@@ -114,6 +179,13 @@ class TestTcaDecompose:
         heuristic = tca_decompose(model, exact_threshold=1)
         assert heuristic.solutions[0].solver == "iterative"
         assert_allclose(heuristic.sigmas, exact.sigmas, atol=1e-12)
+
+    def test_exact_threshold_limit(self, toy_minimal):
+        model = build_model(toy_minimal)
+        with pytest.raises(ValidationError, match=f"limit {EXACT_THRESHOLD}"):
+            tca_decompose(model, exact_threshold=EXACT_THRESHOLD + 1)
+        at_limit = tca_decompose(model, exact_threshold=EXACT_THRESHOLD)
+        assert at_limit.solutions[0].solver == "exact"
 
     def test_max_axes_validation(self, tv_table):
         model = build_model(tv_table)
