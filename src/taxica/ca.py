@@ -82,18 +82,49 @@ def pearson_residuals(model: CorrespondenceModel) -> np.ndarray:
     return model.R0 / np.sqrt(np.outer(model.r, model.c))
 
 
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Round-robin tournament on indices 0..n-1: n-1 rounds (n even) of n/2
+    disjoint pairs (p, q) with p < q, covering every pair exactly once.
+
+    Odd n is padded with a dummy index n whose pairs are dropped. Index 0
+    stays put while the others rotate one place per round (the circle method
+    behind the parallel Jacobi ordering of Brent & Luk).
+    """
+    m = n + n % 2
+    players = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = sorted(
+            (min(p, q), max(p, q))
+            for p, q in zip(players[: m // 2], players[::-1])
+            if p < n and q < n
+        )
+        if pairs:
+            P, Q = (np.array(side, dtype=np.intp) for side in zip(*pairs))
+            rounds.append((P, Q))
+        players = [players[0], players[-1], *players[1:-1]]
+    return rounds
+
+
+def _off_norm(a: np.ndarray) -> float:
+    return np.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
+
+
 def symmetric_eigen(A, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric PSD matrix, sorted descending.
 
-    Cyclic Jacobi rotations, capped at 100 sweeps; raises
-    :class:`NumericalError` if the off-diagonal mass has not vanished by then
-    or if any eigenpair misses the residual contract ||A x - lam x|| <=
-    tol * ||A||. Round-off eigenvalues in [-tol * ||A||, 0) are clamped to 0;
-    anything more negative is rejected as not PSD. Returns ``(lam, V)`` with
-    unit-norm eigenvectors in the columns of ``V``.
+    Jacobi rotations in round-robin order, capped at 100 sweeps: each sweep
+    is n-1 rounds of disjoint (p, q) pairs, and each round is applied as one
+    vectorized step. Raises :class:`ValidationError` for non-square,
+    non-symmetric or non-finite input, and :class:`NumericalError` if the
+    off-diagonal mass has not vanished after 100 sweeps or if any eigenpair
+    misses the residual contract ||A x - lam x|| <= tol * ||A||. Round-off
+    eigenvalues in [-tol * ||A||, 0) are clamped to 0; anything more negative
+    is rejected as not PSD. Returns ``(lam, V)`` with unit-norm eigenvectors
+    in the columns of ``V``.
 
-    Implemented with plain elementwise updates so results are bit-identical
-    regardless of BLAS threading.
+    The rotation loop uses elementwise updates only (no BLAS), so results are
+    bit-identical regardless of BLAS threading.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -101,47 +132,48 @@ def symmetric_eigen(A, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     n = A.shape[0]
     if n == 0:
         return np.empty(0), np.empty((0, 0))
+    if not np.all(np.isfinite(A)):
+        raise ValidationError("matrix has non-finite entries")
     if np.max(np.abs(A - A.T)) > 1e-12:
         raise ValidationError("matrix is not symmetric within 1e-12")
 
     a = 0.5 * (A + A.T)
     V = np.eye(n)
-    norm = float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if not np.isfinite(norm):
+        raise NumericalError("matrix norm overflows")
     if norm == 0.0:
         return np.zeros(n), V
 
-    converged = False
-    for _ in range(100):
-        off = np.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= 1e-14 * norm:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * norm:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                cth = 1.0 / np.sqrt(1.0 + t * t)
-                sth = t * cth
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = cth * rp - sth * rq
-                a[q, :] = sth * rp + cth * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = cth * cp - sth * cq
-                a[:, q] = sth * cp + cth * cq
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = cth * vp - sth * vq
-                V[:, q] = sth * vp + cth * vq
-    if not converged:
-        off = np.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off > 1e-14 * norm:
+    rounds = _round_robin(n)
+    sweeps = 0
+    while not _off_norm(a) <= 1e-14 * norm:
+        if sweeps == 100:
             raise NumericalError("Jacobi eigensolver did not converge within 100 sweeps")
+        sweeps += 1
+        for P, Q in rounds:
+            apq = a[P, Q]
+            rotate = np.abs(apq) > 1e-18 * norm
+            if not rotate.all():
+                P, Q, apq = P[rotate], Q[rotate], apq[rotate]
+                if P.size == 0:
+                    continue
+            theta = (a[Q, Q] - a[P, P]) / (2.0 * apq)
+            t = np.where(theta != 0, np.sign(theta), 1.0)
+            t = t / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
+            cth = 1.0 / np.sqrt(1.0 + t * t)
+            sth = t * cth
+            c, s = cth[:, None], sth[:, None]
+            rp, rq = a[P, :], a[Q, :]
+            a[P, :] = c * rp - s * rq
+            a[Q, :] = s * rp + c * rq
+            cp, cq = a[:, P], a[:, Q]
+            a[:, P] = cth * cp - sth * cq
+            a[:, Q] = sth * cp + cth * cq
+            vp, vq = V[:, P], V[:, Q]
+            V[:, P] = cth * vp - sth * vq
+            V[:, Q] = sth * vp + cth * vq
 
     lam = np.diag(a).copy()
     order = np.argsort(-lam, kind="stable")
@@ -151,7 +183,7 @@ def symmetric_eigen(A, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     if lam[-1] < -tol * norm:
         raise NumericalError(f"matrix is not PSD: eigenvalue {lam[-1]:.3e}")
     residual = np.max(np.abs(A @ V - V * lam))
-    if residual > tol * norm:
+    if not residual <= tol * norm:
         raise NumericalError(
             f"eigenpair residual {residual:.3e} exceeds {tol:g} * ||A||"
         )
@@ -164,6 +196,19 @@ def _orient(g: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if g[int(np.argmax(np.abs(g)))] < 0:
         return -g, -f
     return g, f
+
+
+def axes_requested(max_axes: Optional[int], I: int, J: int) -> int:
+    """Number of axes to extract from an I x J table: ``max_axes``, checked
+    against 1..min(I, J) - 1, or that maximal rank when it is None."""
+    k_max = min(I, J) - 1
+    if max_axes is None:
+        return k_max
+    if not 1 <= max_axes <= k_max:
+        raise ValidationError(
+            f"max_axes={max_axes} out of range 1..{k_max} for a {I}x{J} table"
+        )
+    return max_axes
 
 
 def ca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) -> Decomposition:
@@ -180,14 +225,7 @@ def ca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) -> 
     """
     I, J = model.shape
     k_max = min(I, J) - 1
-    if max_axes is None:
-        k = k_max
-    else:
-        if not 1 <= max_axes <= k_max:
-            raise ValidationError(
-                f"max_axes={max_axes} out of range 1..{k_max} for a {I}x{J} table"
-            )
-        k = max_axes
+    k = axes_requested(max_axes, I, J)
 
     S = pearson_residuals(model)
     r, c, P = model.r, model.c, model.P

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ca import RANK_CUTOFF, Axis, Decomposition
+from .ca import RANK_CUTOFF, Axis, Decomposition, axes_requested
 from .errors import ValidationError
 from .table import CorrespondenceModel
 
@@ -143,8 +143,10 @@ def tca_axis_exact(R, exact_threshold: int = EXACT_THRESHOLD) -> TcaAxisSolution
     )
 
 
-def _lex_key(u: np.ndarray) -> tuple[int, ...]:
-    return tuple(0 if s > 0 else 1 for s in u)
+def _lex_less(u: np.ndarray, w: np.ndarray) -> bool:
+    """Whether sign vector u precedes w lexicographically, +1 before -1."""
+    diff = np.flatnonzero(u != w)
+    return diff.size > 0 and u[diff[0]] > 0
 
 
 def tca_axis_iterative(R) -> TcaAxisSolution:
@@ -158,7 +160,7 @@ def tca_axis_iterative(R) -> TcaAxisSolution:
     """
     R = np.asarray(R, dtype=np.float64)
     I, J = R.shape
-    best: tuple[float, tuple[int, ...], np.ndarray] | None = None
+    best_obj, best_u = None, None
     for j in range(J):
         v = sign_vector(R[:, j])
         seen: set[bytes] = set()
@@ -170,13 +172,15 @@ def tca_axis_iterative(R) -> TcaAxisSolution:
                 break
             seen.add(state)
         objective = float(np.abs(R @ u).sum())
-        key = (-objective, _lex_key(u))
-        if best is None or key < (-best[0], best[1]):
-            best = (objective, _lex_key(u), u)
-    objective, _, u = best
-    v = sign_vector(R @ u)
+        if (
+            best_u is None
+            or objective > best_obj
+            or (objective == best_obj and _lex_less(u, best_u))
+        ):
+            best_obj, best_u = objective, u
+    v = sign_vector(R @ best_u)
     return TcaAxisSolution(
-        u=u, v=v, objective=objective, solver="iterative", starts_tried=J, converged=True
+        u=best_u, v=v, objective=best_obj, solver="iterative", starts_tried=J, converged=True
     )
 
 
@@ -202,14 +206,7 @@ def tca_decompose(
         )
     I, J = model.shape
     k_max = min(I, J) - 1
-    if max_axes is None:
-        k = k_max
-    else:
-        if not 1 <= max_axes <= k_max:
-            raise ValidationError(
-                f"max_axes={max_axes} out of range 1..{k_max} for a {I}x{J} table"
-            )
-        k = max_axes
+    k = axes_requested(max_axes, I, J)
 
     r, c = model.r, model.c
     exact = min(I, J) <= exact_threshold

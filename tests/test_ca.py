@@ -70,6 +70,51 @@ class TestSymmetricEigen:
         assert_allclose(lam, 0)
         assert_allclose(V, np.eye(4))
 
+    def test_pinned_1x1(self):
+        lam, V = symmetric_eigen(np.array([[4.0]]))
+        assert lam.tolist() == [4.0]
+        assert V.tolist() == [[1.0]]
+
+    def test_pinned_2x2_diagonal_is_sorted_without_rotation(self):
+        lam, V = symmetric_eigen(np.diag([1.0, 3.0]))
+        assert lam.tolist() == [3.0, 1.0]
+        assert V.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_pinned_2x2_rank_one(self):
+        lam, V = symmetric_eigen(np.array([[4.0, 2.0], [2.0, 1.0]]))
+        assert_allclose(lam, [5.0, 0.0], atol=1e-14)
+        assert max_abs_diff_up_to_sign(V[:, 0], np.array([2.0, 1.0]) / np.sqrt(5)) < 1e-15
+        assert max_abs_diff_up_to_sign(V[:, 1], np.array([1.0, -2.0]) / np.sqrt(5)) < 1e-15
+
+    def test_pinned_3x3_path_laplacian(self):
+        A = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        lam, V = symmetric_eigen(A)
+        root2 = np.sqrt(2.0)
+        assert_allclose(lam, [2 + root2, 2.0, 2 - root2], atol=1e-14)
+        expected = [
+            np.array([1.0, -root2, 1.0]) / 2,
+            np.array([1.0, 0.0, -1.0]) / root2,
+            np.array([1.0, root2, 1.0]) / 2,
+        ]
+        for a, x in enumerate(expected):
+            assert max_abs_diff_up_to_sign(V[:, a], x) < 1e-14
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_2x2(self, value):
+        with pytest.raises(ValidationError, match="non-finite"):
+            symmetric_eigen(np.array([[1.0, value], [value, 1.0]]))
+
+    def test_rejects_nan_pair_before_sweeping(self):
+        B = np.random.default_rng(5).normal(size=(50, 48))
+        A = B.T @ B
+        A[3, 17] = A[17, 3] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            symmetric_eigen(A)
+
+    def test_rejects_overflowing_norm(self):
+        with pytest.raises(NumericalError, match="overflows"):
+            symmetric_eigen(np.array([[1e200, 1e199], [1e199, 1e200]]))
+
 
 class TestCaDecompose:
     def test_toy_minimal_closed_form(self, toy_minimal):

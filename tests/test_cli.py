@@ -238,6 +238,24 @@ class TestErrorsAndWarnings:
         assert json.loads(captured.out)["input"]["rows"] == 2
 
 
+def write_wide_table(directory) -> str:
+    """A seeded 60x44 count table with 30% zeros: CA eigensolves a 44x44
+    matrix, so every round of Jacobi rotations holds 22 pairs."""
+    rng = np.random.default_rng(44)
+    counts = rng.poisson(6.0, size=(60, 44)) * (rng.random((60, 44)) > 0.3)
+    counts[:, 0] += 1
+    counts[0, :] += 1
+    lines = ["," + ",".join(f"c{j}" for j in range(44))]
+    lines += [f"r{i}," + ",".join(str(v) for v in row) for i, row in enumerate(counts)]
+    path = directory / "wide_60x44.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+#: Placeholder replaced by the path of the table of ``write_wide_table``.
+WIDE = "<wide 60x44 table>"
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -245,9 +263,13 @@ class TestDeterminism:
             ["tca", "--input", TV, "--format", "json"],
             ["ca", "--input", TV, "--format", "json"],
             ["plot", "--input", TV, "--method", "tca"],
+            ["ca", "--input", WIDE, "--format", "json"],
         ],
     )
-    def test_byte_identical_across_processes_and_thread_counts(self, argv):
+    def test_byte_identical_across_processes_and_thread_counts(self, argv, tmp_path):
+        if WIDE in argv:
+            argv = [write_wide_table(tmp_path) if a == WIDE else a for a in argv]
+
         def run(threads):
             proc = subprocess.run(
                 [sys.executable, "-m", "taxica", *argv],
@@ -263,3 +285,4 @@ class TestDeterminism:
         first = run("1")
         assert first == run("1")
         assert first == run("4")
+        assert first == run("8")

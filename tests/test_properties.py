@@ -13,6 +13,7 @@ from taxica import (
     reduce_to_minimal,
     serialize_table,
     seven_number,
+    symmetric_eigen,
     tca_decompose,
     verify,
 )
@@ -37,8 +38,40 @@ def count_matrices(draw, max_side=6, max_count=20):
 
 
 @st.composite
+def psd_matrices(draw, parity):
+    """Symmetric PSD matrices of odd or even size 1-40: full-rank Gram
+    matrices, rank-deficient ones, and spectra with repeated eigenvalues."""
+    n = 2 * draw(st.integers(1 - parity, 20 - parity)) + parity
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gram", "low_rank", "repeated"]))
+    if kind == "repeated":
+        lam = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n)))
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        A = (Q * lam) @ Q.T
+        return 0.5 * (A + A.T)
+    rank = n + 2 if kind == "gram" else draw(st.integers(0, n - 1))
+    B = rng.normal(size=(rank, n))
+    return B.T @ B
+
+
+@st.composite
 def positive_batches(draw):
     return draw(st.lists(st.integers(1, 500), min_size=1, max_size=40))
+
+
+class TestSymmetricEigenProperties:
+    @pytest.mark.parametrize("parity", [0, 1])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_lapack_and_keeps_contract(self, parity, data):
+        A = data.draw(psd_matrices(parity))
+        n = A.shape[0]
+        norm = np.linalg.norm(A)
+        lam, V = symmetric_eigen(A)
+        assert np.all(np.diff(lam) <= 0)
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(A)[::-1]), initial=0.0) <= 1e-10 * norm
+        assert np.max(np.abs(V.T @ V - np.eye(n))) <= 1e-12
+        assert np.max(np.abs(A @ V - V * lam)) <= 1e-10 * norm
 
 
 class TestTableProperties:

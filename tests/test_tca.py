@@ -127,6 +127,14 @@ class TestAxisIterative:
         assert sol.objective == pytest.approx(a.sum() * b.sum(), rel=1e-12)
         assert sol.starts_tried == 4
 
+    def test_equal_objectives_go_to_lexicographically_first_u(self):
+        # The three starts reach u = (+,-,+), (-,+,+) and (+,+,+), all with
+        # objective 6; the last start's u comes first lexicographically.
+        R = np.array([[-1.0, 2.0, -2.0], [0.0, 1.0, 2.0], [0.0, -1.0, -1.0]])
+        sol = tca_axis_iterative(R)
+        assert sol.objective == 6.0
+        assert sol.u.tolist() == [1, 1, 1]
+
     def test_matches_exact_on_datasets(self, tv_table, rodents_table):
         for table, expected in ((tv_table, None), (rodents_table, 0.478)):
             R0 = build_model(table).R0
