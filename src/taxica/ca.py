@@ -116,12 +116,13 @@ def symmetric_eigen(A, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     Jacobi rotations in round-robin order, capped at 100 sweeps: each sweep
     is n-1 rounds of disjoint (p, q) pairs, and each round is applied as one
     vectorized step. Raises :class:`ValidationError` for non-square,
-    non-symmetric or non-finite input, and :class:`NumericalError` if the
-    off-diagonal mass has not vanished after 100 sweeps or if any eigenpair
-    misses the residual contract ||A x - lam x|| <= tol * ||A||. Round-off
-    eigenvalues in [-tol * ||A||, 0) are clamped to 0; anything more negative
-    is rejected as not PSD. Returns ``(lam, V)`` with unit-norm eigenvectors
-    in the columns of ``V``.
+    non-finite or non-symmetric input (max |A - A'| > 1e-12 max |A|), and
+    :class:`NumericalError` if the off-diagonal mass has not vanished after
+    100 sweeps or if any eigenpair misses the residual contract
+    ||A x - lam x|| <= tol * ||A||. Round-off eigenvalues in
+    [-tol * ||A||, 0) are clamped to 0; anything more negative is rejected
+    as not PSD. Returns ``(lam, V)`` with unit-norm eigenvectors in the
+    columns of ``V``.
 
     The rotation loop uses elementwise updates only (no BLAS), so results are
     bit-identical regardless of BLAS threading.
@@ -134,8 +135,8 @@ def symmetric_eigen(A, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
         return np.empty(0), np.empty((0, 0))
     if not np.all(np.isfinite(A)):
         raise ValidationError("matrix has non-finite entries")
-    if np.max(np.abs(A - A.T)) > 1e-12:
-        raise ValidationError("matrix is not symmetric within 1e-12")
+    if np.max(np.abs(A - A.T)) > 1e-12 * np.max(np.abs(A)):
+        raise ValidationError("matrix is not symmetric within 1e-12 of max |A|")
 
     a = 0.5 * (A + A.T)
     V = np.eye(n)

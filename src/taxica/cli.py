@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 parse/validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -422,4 +423,7 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    code = run_cli(sys.argv[1:])
+    # Untrack the import-time objects so the collections at shutdown skip them.
+    gc.freeze()
+    sys.exit(code)

@@ -7,8 +7,6 @@ same decomposition always yields byte-identical bytes.
 """
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 from .ca import Decomposition
@@ -20,6 +18,12 @@ __all__ = ["emit_svg_biplot"]
 _WIDTH = 720
 _HEIGHT = 540
 _MARGIN = 48
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``>`` and ``<`` for XML text, in the order and with the
+    entities of ``xml.sax.saxutils.escape``; quotes are left as they are."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fallback_labels(labels, size: int) -> list[str]:
@@ -87,7 +91,7 @@ def emit_svg_biplot(decomp: Decomposition, axis_x: int, axis_y: int) -> str:
         )
         parts.append(
             f'<text x="{cx + 5:.2f}" y="{cy - 4:.2f}" font-size="11" '
-            f'font-family="sans-serif" fill="#1f77b4">{escape(label)}</text>'
+            f'font-family="sans-serif" fill="#1f77b4">{_escape(label)}</text>'
         )
     for label, x, y in zip(col_labels, ax.g, ay.g):
         cx, cy = sx(float(x)), sy(float(y))
@@ -98,19 +102,19 @@ def emit_svg_biplot(decomp: Decomposition, axis_x: int, axis_y: int) -> str:
         parts.append(
             f'<text x="{cx + 5:.2f}" y="{cy - 4:.2f}" font-size="11" '
             f'font-family="sans-serif" font-style="italic" '
-            f'fill="#d62728">{escape(label)}</text>'
+            f'fill="#d62728">{_escape(label)}</text>'
         )
 
     caption_x = f"Axis {axis_x} ({expl[axis_x - 1]:.1f}%)"
     caption_y = f"Axis {axis_y} ({expl[axis_y - 1]:.1f}%)"
     parts.append(
         f'<text x="{_WIDTH / 2:.2f}" y="{_HEIGHT - 12}" font-size="13" '
-        f'font-family="sans-serif" text-anchor="middle">{escape(caption_x)}</text>'
+        f'font-family="sans-serif" text-anchor="middle">{_escape(caption_x)}</text>'
     )
     parts.append(
         f'<text x="14" y="{_HEIGHT / 2:.2f}" font-size="13" '
         f'font-family="sans-serif" text-anchor="middle" '
-        f'transform="rotate(-90 14 {_HEIGHT / 2:.2f})">{escape(caption_y)}</text>'
+        f'transform="rotate(-90 14 {_HEIGHT / 2:.2f})">{_escape(caption_y)}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -61,6 +61,28 @@ class TestSymmetricEigen:
         with pytest.raises(ValidationError, match="not symmetric"):
             symmetric_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_large_scale_round_off_asymmetry_is_accepted(self):
+        # eigenvalues up to 3e6: round-off leaves an asymmetry far above 1e-12
+        # in absolute terms but far below it relative to max |A|
+        Q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(6, 6)))
+        lam_in = np.array([3e6, 1e6, 2e5, 5e3, 10.0, 0.5])
+        A = (Q * lam_in) @ Q.T
+        asym = np.max(np.abs(A - A.T))
+        assert 1e-12 < asym <= 1e-12 * np.max(np.abs(A))
+        lam, _ = symmetric_eigen(A)
+        assert_allclose(lam, lam_in, rtol=0, atol=1e-10 * np.linalg.norm(A))
+
+    def test_small_scale_relative_asymmetry_is_rejected(self):
+        # a Gram matrix of scale 1.3e-7 whose asymmetry (3.7e-6 of max |A|) is
+        # below 1e-12 in absolute terms
+        B = np.random.default_rng(8).normal(size=(8, 6))
+        A = B.T @ B
+        A *= 1.3e-7 / np.max(np.abs(A))
+        A[0, 1] += 3.7e-6 * 1.3e-7
+        assert np.max(np.abs(A - A.T)) < 1e-12
+        with pytest.raises(ValidationError, match="not symmetric"):
+            symmetric_eigen(A)
+
     def test_rejects_indefinite(self):
         with pytest.raises(NumericalError, match="not PSD"):
             symmetric_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -286,3 +286,61 @@ class TestDeterminism:
         assert first == run("1")
         assert first == run("4")
         assert first == run("8")
+
+
+def run_child(code: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, env=cli_env("1")
+    )
+
+
+#: ``python -m taxica`` with an atexit hook, registered before taxica loads,
+#: that reports whether the GC heap was frozen before shutdown.
+EXIT_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"frozen={gc.get_freeze_count() > 0}", file=sys.stderr))
+runpy.run_module("taxica", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestProcessExit:
+    def test_plot_stdout_matches_in_process_output(self, capsys):
+        argv = ["plot", "--input", TV, "--method", "tca"]
+        assert run_cli(argv) == 0
+        expected = capsys.readouterr().out.encode("utf-8")
+        proc = run_child(EXIT_PROBE, *argv)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert proc.stdout == expected
+        assert proc.stderr.decode().splitlines()[-1] == "frozen=True"
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            (",a,b\nr1,1,2,3\nr2,x,4\n", 2),
+            (",a,b\nr1,1e308,1e308\nr2,1e308,5e307\n", 3),
+        ],
+    )
+    def test_failure_exit_codes(self, tmp_path, text, code):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        proc = run_child(EXIT_PROBE, "ca", "--input", str(path), "--format", "json")
+        stderr = proc.stderr.decode(errors="replace")
+        assert proc.returncode == code, stderr
+        assert proc.stdout == b""
+        assert stderr.splitlines()[-1] == "frozen=True"
+
+
+def test_cli_import_pulls_in_no_xml_or_network_modules():
+    # site may load some of these (e.g. urllib.parse) before taxica does,
+    # so only the modules that the import itself adds are checked
+    proc = run_child(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import taxica.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    added = proc.stdout.decode().split()
+    assert "taxica.cli" in added and "numpy" in added
+    banned = {"xml", "urllib", "http", "email", "ssl", "socket"}
+    assert [name for name in added if name.split(".")[0] in banned] == []

@@ -1,7 +1,10 @@
 from xml.dom import minidom
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxica import (
     ValidationError,
@@ -11,6 +14,7 @@ from taxica import (
     explained_variation,
     tca_decompose,
 )
+from taxica.svg import _escape
 
 from helpers import make_table
 
@@ -66,9 +70,21 @@ class TestSvgBiplot:
     def test_labels_are_escaped(self):
         table = make_table(
             [[5, 1, 2], [1, 4, 1], [2, 2, 7]],
-            row_labels=("a<b", "c&d", "e"),
-            col_labels=("x", "y", "z"),
+            row_labels=("a<b", "c&d", "e>f"),
+            col_labels=("a&lt;b", "q\"u'o", "z"),
         )
         svg = emit_svg_biplot(ca_decompose(build_model(table)), 1, 2)
-        assert "a&lt;b" in svg and "c&amp;d" in svg
-        minidom.parseString(svg)
+        assert ">a&lt;b</text>" in svg and ">c&amp;d</text>" in svg
+        assert ">e&gt;f</text>" in svg
+        # an already escaped label is escaped again; quotes stay as they are
+        assert ">a&amp;lt;b</text>" in svg
+        assert ">q\"u'o</text>" in svg
+        texts = minidom.parseString(svg).getElementsByTagName("text")
+        labels = {node.firstChild.data for node in texts}
+        assert {"a<b", "c&d", "e>f", "a&lt;b", "q\"u'o"} <= labels
+
+
+@given(st.text(st.sampled_from("&<>;\"'alt") | st.characters()))
+@settings(max_examples=300, deadline=None)
+def test_escape_matches_saxutils(text):
+    assert _escape(text) == saxutils.escape(text)
