@@ -10,7 +10,6 @@ its axis influence at |SC| = 500.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -281,6 +280,34 @@ def verify(decomp: Decomposition) -> VerificationReport:
     return VerificationReport(method=decomp.method, checks=tuple(checks))
 
 
+def _permutations(k: int) -> np.ndarray:
+    """All k! permutations of range(k) as uint8 rows, in lexicographic order.
+
+    Row block c of the table for k starts with c and continues with the
+    table for k - 1 relabelled to skip c, so the rows ascend."""
+    perms = np.zeros((1, 0), dtype=np.uint8)
+    for n in range(1, k + 1):
+        rest = perms + (perms >= np.arange(n, dtype=np.uint8)[:, None, None])
+        head = np.repeat(np.arange(n, dtype=np.uint8), len(perms))[:, None]
+        perms = np.hstack((head, rest.reshape(len(head), n - 1)))
+    return perms
+
+
+def _best_pairing(phi: np.ndarray) -> tuple[int, ...]:
+    """The permutation p maximizing sum_a phi[a, p[a]], lexicographically
+    first among equal sums.
+
+    All k! sums are accumulated left to right over a, in the order Python's
+    sum() adds them, so float ties fall as in a brute-force max() over
+    itertools.permutations; argmax keeps the first maximum."""
+    k = len(phi)
+    perms = _permutations(k)
+    total = phi[0][perms[:, 0]]
+    for a in range(1, k):
+        total += phi[a][perms[:, a]]
+    return tuple(int(b) for b in perms[int(np.argmax(total))])
+
+
 def map_similarity(
     d1: Decomposition,
     d2: Decomposition,
@@ -321,10 +348,7 @@ def map_similarity(
             for a in range(axes)
         ]
     )
-    best_perm = max(
-        itertools.permutations(range(axes)),
-        key=lambda perm: sum(phi[a][perm[a]] for a in range(axes)),
-    )
+    best_perm = _best_pairing(phi)
     phis = tuple(float(phi[a][best_perm[a]]) for a in range(axes))
     hits = sum(1 for value in phis if value >= threshold)
     verdict = "similar" if hits == axes else ("partial" if hits > 0 else "dissimilar")

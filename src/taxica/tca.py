@@ -149,28 +149,72 @@ def _lex_less(u: np.ndarray, w: np.ndarray) -> bool:
     return diff.size > 0 and u[diff[0]] > 0
 
 
+def _signed_products(X: np.ndarray, M: np.ndarray, tol: np.ndarray):
+    """Signs of the rows x of X @ M, each equal to ``sign_vector(M.T @ x)``,
+    and the mask of their -1 entries.
+
+    A gemm entry can differ from the matching gemv entry in the last bits,
+    which flips a sign only where the exact value is zero up to rounding.
+    Rows with an entry within ``tol`` of zero are recomputed as ``M.T @ x``
+    on a contiguous copy of x, so every row is the per-vector result.
+    """
+    Y = X @ M
+    for a in np.flatnonzero((np.abs(Y) <= tol).any(axis=1)):
+        Y[a] = M.T @ X[a].copy()
+    negative = Y < 0
+    return np.where(negative, -1.0, 1.0), negative
+
+
 def tca_axis_iterative(R) -> TcaAxisSolution:
     """Heuristic taxicab axis by alternating sign ascent from every column.
 
     Each start j seeds v = sign(R e_j) and alternates u = sign(R' v),
     v = sign(R u); the objective never decreases and the state space is
-    finite, so every start stops once a sign pair repeats. The best fixed
-    point over all J starts is returned, ties going to the lexicographically
-    smallest u. The result is a lower bound for the exact objective.
+    finite, so every start stops at its first (u, v) state that repeats any
+    earlier one, keeping that u. The best fixed point over all J starts is
+    returned, ties going to the lexicographically smallest u. The result is
+    a lower bound for the exact objective.
+
+    All starts advance in lockstep, one gemm per half-step, and a start
+    leaves the batch once it stops. Each entry of M x over a +-1 vector x
+    lies within gamma_n sum_k |M_ik| of its exact value in any summation
+    order (n = I for R' v, J for R u; gamma_n < (n + 2) eps / 2), so two
+    orders can disagree on its sign only where both are within twice that
+    of zero. A start with an entry within 2 (n + 2) eps sum_k |M_ik| of zero
+    is recomputed with the per-start gemv, so results are bit-identical to
+    running each start alone, whatever order the BLAS sums in.
     """
     R = np.asarray(R, dtype=np.float64)
     I, J = R.shape
+    eps = np.finfo(np.float64).eps
+    abs_R = np.abs(R)
+    tol_u = 2.0 * (I + 2) * eps * abs_R.sum(axis=0)
+    tol_v = 2.0 * (J + 2) * eps * abs_R.sum(axis=1)
+    V = sign_vector(R.T)  # row j: the seed v of start j
+    active = np.arange(J)
+    # (u < 0, v < 0) of every start after every step, packed 8 signs a byte
+    history = np.empty((8, J, (J + I + 7) // 8), dtype=np.uint8)
+    final_neg = np.empty((J, J), dtype=np.bool_)  # u < 0 where each start stopped
+    step = 0
+    while active.size:
+        U, u_neg = _signed_products(V, R, tol_u)  # u = sign(R' v)
+        V, v_neg = _signed_products(U, R.T, tol_v)  # v = sign(R u)
+        state = np.packbits(np.concatenate((u_neg, v_neg), axis=1), axis=1)
+        if step == history.shape[0]:
+            history = np.concatenate((history, np.empty_like(history)))
+        done = (history[:step, active] == state).all(axis=2).any(axis=0)
+        history[step, active] = state
+        final_neg[active[done]] = u_neg[done]
+        active, V = active[~done], V[~done]
+        step += 1
+
     best_obj, best_u = None, None
-    for j in range(J):
-        v = sign_vector(R[:, j])
-        seen: set[bytes] = set()
-        while True:
-            u = sign_vector(R.T @ v)
-            v = sign_vector(R @ u)
-            state = u.tobytes() + v.tobytes()
-            if state in seen:
-                break
-            seen.add(state)
+    scored: set[bytes] = set()
+    for neg in final_neg:
+        if neg.tobytes() in scored:
+            continue  # an equal u scores equal and never displaces the best
+        scored.add(neg.tobytes())
+        u = np.where(neg, -1.0, 1.0)
         objective = float(np.abs(R @ u).sum())
         if (
             best_u is None

@@ -15,18 +15,22 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 def cli_env(threads: str) -> dict[str, str]:
     """Environment for a ``python -m taxica`` child process: PATH, the three
-    BLAS thread variables pinned to ``threads``, and PYTHONPATH with this
-    repo's ``src/`` first (the parent's PYTHONPATH, if any, after it), so the
-    child runs the same source the in-process tests import."""
+    BLAS thread variables pinned to ``threads``, PYTHONPATH with this repo's
+    ``src/`` first (the parent's PYTHONPATH, if any, after it), so the child
+    runs the same source the in-process tests import, and the parent's
+    PYTHONDONTWRITEBYTECODE, if set, so the child writes no bytecode either."""
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = f"{SRC_DIR}{os.pathsep}{inherited}" if inherited else str(SRC_DIR)
-    return {
+    env = {
         "PATH": "/usr/bin:/bin:/usr/local/bin",
         "PYTHONPATH": pythonpath,
         "OMP_NUM_THREADS": threads,
         "OPENBLAS_NUM_THREADS": threads,
         "MKL_NUM_THREADS": threads,
     }
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 
 def load_table(name: str) -> ContingencyTable:

@@ -264,6 +264,8 @@ class TestDeterminism:
             ["ca", "--input", TV, "--format", "json"],
             ["plot", "--input", TV, "--method", "tca"],
             ["ca", "--input", WIDE, "--format", "json"],
+            ["tca", "--input", WIDE, "--format", "json"],
+            ["compare", "--input", WIDE, "--axes", "8"],
         ],
     )
     def test_byte_identical_across_processes_and_thread_counts(self, argv, tmp_path):
@@ -292,6 +294,17 @@ def run_child(code: str, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, env=cli_env("1")
     )
+
+
+@pytest.mark.parametrize("value", ["1", None])
+def test_cli_env_passes_on_dont_write_bytecode(monkeypatch, value):
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    assert cli_env("1").get("PYTHONDONTWRITEBYTECODE") == value
+    proc = run_child("import sys; print(sys.dont_write_bytecode)")
+    assert proc.stdout.decode().strip() == str(value is not None)
 
 
 #: ``python -m taxica`` with an atexit hook, registered before taxica loads,

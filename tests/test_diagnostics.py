@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from taxica import (
@@ -16,6 +20,8 @@ from taxica import (
     tca_decompose,
     verify,
 )
+
+from taxica.diagnostics import MAX_MATCHED_AXES, _best_pairing
 
 from helpers import assert_row_matches_up_to_sign, make_table
 
@@ -209,3 +215,74 @@ class TestMapSimilarity:
     def test_axes_out_of_range(self, tv_ca, tv_tca):
         with pytest.raises(ValidationError, match="out of range"):
             map_similarity(tv_ca, tv_tca, axes=7)
+
+
+def _brute_force_pairing(phi):
+    k = len(phi)
+    return max(
+        itertools.permutations(range(k)),
+        key=lambda perm: sum(phi[a][perm[a]] for a in range(k)),
+    )
+
+
+@st.composite
+def congruence_matrices(draw):
+    """k x k matrices, k <= 7: uniform in [0, 1], or drawn from a small set
+    of values so that many pairings tie exactly ({0, 1/4, 1/2, 1}) or tie
+    up to the rounding of their sums ({0.1, 0.2, 0.3, 0.6, 0.7})."""
+    k = draw(st.integers(1, 7))
+    values = draw(st.sampled_from([None, (0.0, 0.25, 0.5, 1.0), (0.1, 0.2, 0.3, 0.6, 0.7)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random((k, k)) if values is None else rng.choice(values, (k, k))
+
+
+#: Pairings (0, 1, 2) and (2, 0, 1) have the same exact sum, 2; added left
+#: to right the first rounds higher, added right to left the second does.
+ROUNDING_TIE = np.array([[0.7, 0.3, 0.6], [0.7, 0.7, 0.1], [0.2, 0.7, 0.6]])
+
+
+class TestPairingSearch:
+    """The vectorized pairing search against the itertools brute force."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(phi=congruence_matrices())
+    @example(phi=ROUNDING_TIE)
+    def test_matches_brute_force(self, phi):
+        pairing = _best_pairing(phi)
+        expected = _brute_force_pairing(phi)
+        assert pairing == expected
+        k = len(phi)
+        assert [phi[a][pairing[a]] for a in range(k)] == [phi[a][expected[a]] for a in range(k)]
+
+    @pytest.fixture(scope="class")
+    def decomps_12(self):
+        rng = np.random.default_rng(12)
+        model = build_model(make_table(rng.poisson(3.0, (15, 12)) + 1))
+        return ca_decompose(model), tca_decompose(model)
+
+    def test_map_similarity_matches_brute_force(self, decomps_12):
+        d_ca, d_tca = decomps_12
+        r = d_ca.model.r
+        for k in range(1, 8):
+            phi = np.array(
+                [
+                    [
+                        abs(float(np.sum(r * a.f * b.f)))
+                        / np.sqrt(float(np.sum(r * a.f**2)) * float(np.sum(r * b.f**2)))
+                        for b in d_tca.axes[:k]
+                    ]
+                    for a in d_ca.axes[:k]
+                ]
+            )
+            expected = _brute_force_pairing(phi)
+            report = map_similarity(d_ca, d_tca, axes=k)
+            assert report.pairing == expected
+            assert report.phis == tuple(float(phi[a][expected[a]]) for a in range(k))
+
+    def test_nine_axes_run_and_ten_raise(self, decomps_12):
+        d_ca, d_tca = decomps_12
+        assert min(d_ca.rank_used, d_tca.rank_used) >= MAX_MATCHED_AXES + 1
+        report = map_similarity(d_ca, d_tca, axes=MAX_MATCHED_AXES)
+        assert sorted(report.pairing) == list(range(MAX_MATCHED_AXES))
+        with pytest.raises(ValidationError, match="10! = 3628800 pairings"):
+            map_similarity(d_ca, d_tca, axes=MAX_MATCHED_AXES + 1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from taxica import (
@@ -13,7 +15,7 @@ from taxica import (
     verify,
 )
 
-from taxica.tca import EXACT_THRESHOLD, _enumerate_best
+from taxica.tca import EXACT_THRESHOLD, _enumerate_best, _lex_less, sign_vector
 
 from helpers import make_table, random_tables
 
@@ -116,6 +118,99 @@ class TestEnumerateBest:
         objective, w, _ = _enumerate_best(R)
         assert objective == 14.0
         assert w.tolist() == plus.tolist()
+
+
+def _ascent_oracle(R):
+    """One start at a time: seed v = sign(R e_j), alternate gemv half-steps
+    until a (u, v) state repeats, keep the best u (ties: lex first)."""
+    best_obj, best_u = None, None
+    for j in range(R.shape[1]):
+        v = sign_vector(R[:, j])
+        seen = set()
+        while True:
+            u = sign_vector(R.T @ v)
+            v = sign_vector(R @ u)
+            state = u.tobytes() + v.tobytes()
+            if state in seen:
+                break
+            seen.add(state)
+        objective = float(np.abs(R @ u).sum())
+        if (
+            best_u is None
+            or objective > best_obj
+            or (objective == best_obj and _lex_less(u, best_u))
+        ):
+            best_obj, best_u = objective, u
+    return best_obj, best_u
+
+
+def _assert_matches_ascent_oracle(R):
+    sol = tca_axis_iterative(R)
+    objective, u = _ascent_oracle(R)
+    assert sol.objective == objective
+    assert sol.u.tolist() == u.tolist()
+    assert sol.v.tolist() == sign_vector(R @ u).tolist()
+    assert sol.starts_tried == R.shape[1]
+
+
+#: 21x24 counts, one digit per cell. Several row and column sums of R0 over
+#: sign vectors cancel exactly, and with OpenBLAS 0.3.31 on x86-64 a gemm
+#: over all starts at once rounds some of them to the other side of zero
+#: than the per-start gemv does, so the ascent picks another axis unless
+#: the rounding guard recomputes those starts. Other BLAS builds may round
+#: alike; the test then checks the same equality without needing the guard.
+PINNED_ASCENT_TABLE = """
+002000000000000000001300 000000011000000030000101 000000000000000010000010
+000000000000000000010000 110000000000000000004200 000000000000100000000000
+000002001000000100000001 000000010000000000000000 010010000000010010000100
+000001000000010002000000 100000100010000000000100 000000000100000000000000
+000002000001000000000003 000110000001000010000000 000000000000100002200000
+000000000200000000010000 000002010000012000101100 010000200000000001000010
+000000000200000000100001 000100000051100000002000 100000000001000100000000
+"""
+
+
+@st.composite
+def sparse_iterative_tables(draw):
+    """Poisson(0.5-1) counts with 85-95% zeros and 21-60 lines a side,
+    some with repeated rows or columns; no empty line."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(st.integers(21, 60)), draw(st.integers(21, 60))
+    lam = draw(st.floats(0.5, 1.0))
+    zero_frac = draw(st.floats(0.85, 0.95))
+    counts = rng.poisson(lam, (rows, cols)) * (rng.random((rows, cols)) > zero_frac)
+    for i in np.flatnonzero(counts.sum(axis=1) == 0):
+        counts[i, rng.integers(cols)] = 1
+    for j in np.flatnonzero(counts.sum(axis=0) == 0):
+        counts[rng.integers(rows), j] = 1
+    repeat_rows, repeat_cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    counts = np.vstack([counts, counts[rng.integers(0, rows, repeat_rows)]])
+    counts = np.hstack([counts, counts[:, rng.integers(0, cols, repeat_cols)]])
+    return counts
+
+
+class TestAscentOracle:
+    """The lockstep ascent against the per-start loop, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=sparse_iterative_tables())
+    def test_matches_per_start_ascent(self, counts):
+        decomp = tca_decompose(build_model(make_table(counts)), max_axes=3)
+        assert all(sol.solver == "iterative" for sol in decomp.solutions)
+        for residual in decomp.residuals:
+            _assert_matches_ascent_oracle(residual)
+
+    def test_pinned_table_needs_the_rounding_guard(self):
+        counts = [[int(d) for d in line] for line in PINNED_ASCENT_TABLE.split()]
+        R0 = build_model(make_table(counts)).R0
+        assert R0.shape == (21, 24)
+        _assert_matches_ascent_oracle(R0)
+
+    def test_transposed_and_zero_matrices(self):
+        rng = np.random.default_rng(5)
+        R = rng.integers(-2, 3, (30, 23)).astype(np.float64)
+        for M in (R, R.T, np.zeros((22, 25)), np.asfortranarray(R)):
+            _assert_matches_ascent_oracle(M)
 
 
 class TestAxisIterative:
