@@ -221,7 +221,9 @@ def ca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) -> 
     ``RANK_CUTOFF`` times the leading dispersion are dropped, as are axes
     indistinguishable from rank-deficiency noise at working precision
     (eigenvalues below dim * eps relative to the leading one, whose
-    eigenvectors would mix with the structural null space). ``max_axes``
+    eigenvectors would mix with the structural null space). CA eigenvalues
+    are at most 1, so a leading one below dim * eps is rounding in the
+    residuals of a table of proportional lines, and no axis is kept. ``max_axes``
     defaults to the maximal possible rank, min(I, J) - 1.
     """
     I, J = model.shape
@@ -250,7 +252,7 @@ def ca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) -> 
     cutoff = max(RANK_CUTOFF, noise_floor)
     n_nonzero = 0
     for a in range(min(k_max, sigma.size)):
-        if sigma.size == 0 or sigma[0] == 0.0 or sigma[a] < cutoff * sigma[0]:
+        if sigma.size == 0 or sigma[0] < noise_floor or sigma[a] < cutoff * sigma[0]:
             break
         n_nonzero += 1
     n_keep = min(k, n_nonzero)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ca import Decomposition, ca_decompose
+from .ca import Decomposition, axes_requested, ca_decompose
 from .diagnostics import (
     SimilarityReport,
     VerificationReport,
@@ -24,12 +24,12 @@ from .diagnostics import (
     map_similarity,
     verify,
 )
-from .errors import NumericalError, ParseError, TaxicaError, ValidationError
+from .errors import NumericalError, TaxicaError, ValidationError
 from .reduction import ReductionTrace, reduce_to_minimal
 from .sparsity import classify, seven_number
 from .svg import emit_svg_biplot
 from .table import ContingencyTable, build_model, parse_table, serialize_table, validate_table
-from .tca import EXACT_THRESHOLD, tca_decompose
+from .tca import tca_decompose
 
 __all__ = ["run_cli", "main"]
 
@@ -199,42 +199,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, default_format: str) -> None:
+    def add_command(name: str, summary: str, default_format: Optional[str]):
+        # The flags every subcommand reads; --format unless default_format is None.
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--input", required=True, help="CSV file with labeled counts")
         p.add_argument("--delimiter", default=",", help="CSV delimiter (default ',')")
         p.add_argument("--output", default=None, help="write results here instead of stdout")
-        p.add_argument(
-            "--format", choices=("json", "table"), default=default_format,
-            help=f"output format (default {default_format})",
-        )
+        if default_format is not None:
+            p.add_argument(
+                "--format", choices=("json", "table"), default=default_format,
+                help=f"output format (default {default_format})",
+            )
         p.add_argument(
             "--reduced", action="store_true",
             help="analyze the minimal representative table instead of the input",
         )
-        p.add_argument(
-            "--quantile", choices=("hinges", "interpolated"), default="hinges",
-            help="quartile rule for sparsity summaries (default hinges)",
-        )
-        p.add_argument(
-            "--exact-threshold", type=int, default=EXACT_THRESHOLD,
-            help="largest min(I,J) solved by exact sign enumeration "
-            f"(at most {EXACT_THRESHOLD}, the default)",
-        )
-        p.add_argument("--axes", type=int, default=None, help="number of axes to report")
+        return p
 
-    add_common(sub.add_parser("summarize", help="7-number sparsity summaries of N and M"), "table")
-    add_common(sub.add_parser("reduce", help="merge proportional lines down to the minimal table"), "table")
-    add_common(sub.add_parser("ca", help="correspondence analysis"), "json")
-    add_common(sub.add_parser("tca", help="taxicab correspondence analysis"), "json")
-    p_cmp = sub.add_parser("compare", help="CA vs TCA map similarity")
-    add_common(p_cmp, "json")
+    p_sum = add_command("summarize", "7-number sparsity summaries of N and M", "table")
+    p_sum.add_argument(
+        "--quantile", choices=("hinges", "interpolated"), default="hinges",
+        help="quartile rule for sparsity summaries (default hinges)",
+    )
+    add_command("reduce", "merge proportional lines down to the minimal table", "table")
+    p_ca = add_command("ca", "correspondence analysis", "json")
+    p_tca = add_command("tca", "taxicab correspondence analysis", "json")
+    p_cmp = add_command("compare", "CA vs TCA map similarity", "json")
+    for p in (p_ca, p_tca, p_cmp):
+        p.add_argument("--axes", type=int, default=None, help="number of axes to report")
     p_cmp.add_argument(
         "--phi-threshold", type=float, default=0.9,
         help="congruence needed to call a pair of axes similar (default 0.9)",
     )
-    add_common(sub.add_parser("verify", help="check decomposition invariants"), "json")
-    p_plot = sub.add_parser("plot", help="emit an SVG biplot")
-    add_common(p_plot, "json")
+    add_command("verify", "check decomposition invariants", "json")
+    p_plot = add_command("plot", "emit an SVG biplot", None)
     p_plot.add_argument("--method", choices=("ca", "tca"), default="ca")
     p_plot.add_argument("--axis-x", type=int, default=1, help="1-based axis for x")
     p_plot.add_argument("--axis-y", type=int, default=2, help="1-based axis for y")
@@ -245,7 +243,7 @@ def _load_table(args) -> ContingencyTable:
     path = Path(args.input)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read input file '{path}': {exc}") from exc
     table = parse_table(text, delimiter=args.delimiter)
     if not table.is_integer_valued():
@@ -253,17 +251,9 @@ def _load_table(args) -> ContingencyTable:
     table, warnings = validate_table(table, policy="drop")
     for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
-    if getattr(args, "reduced", False):
+    if args.reduced:
         table = reduce_to_minimal(table).minimal
     return table
-
-
-def _report_axes(args, k_max: int) -> int:
-    if args.axes is None:
-        return k_max
-    if k_max < 1 or not 1 <= args.axes <= k_max:
-        raise ValidationError(f"--axes {args.axes} out of range 1..{k_max}")
-    return args.axes
 
 
 def _cmd_summarize(args) -> str:
@@ -316,18 +306,17 @@ def _cmd_reduce(args) -> str:
     return csv_text + "\n" + _dumps({"trace": _trace_payload(trace)})
 
 
-def _decompose(args, table: ContingencyTable, method: str) -> Decomposition:
+def _decompose(table: ContingencyTable, method: str) -> Decomposition:
     model = build_model(table)
     if method == "ca":
         return ca_decompose(model)
-    return tca_decompose(model, exact_threshold=args.exact_threshold)
+    return tca_decompose(model)
 
 
 def _cmd_engine(args, method: str) -> str:
     table = _load_table(args)
-    k_max = min(table.shape) - 1
-    report_axes = _report_axes(args, k_max) if (k_max or args.axes is not None) else 0
-    decomp = _decompose(args, table, method)
+    report_axes = axes_requested(args.axes, *table.shape)
+    decomp = _decompose(table, method)
     payload = {
         "schema": SCHEMA_VERSION,
         "input": _digest(table),
@@ -340,8 +329,8 @@ def _cmd_engine(args, method: str) -> str:
 
 def _cmd_compare(args) -> str:
     table = _load_table(args)
-    d_ca = _decompose(args, table, "ca")
-    d_tca = _decompose(args, table, "tca")
+    d_ca = _decompose(table, "ca")
+    d_tca = _decompose(table, "tca")
     axes = args.axes if args.axes is not None else min(2, d_ca.rank_used, d_tca.rank_used)
     report = map_similarity(d_ca, d_tca, axes=axes, threshold=args.phi_threshold)
     payload = {
@@ -362,8 +351,8 @@ def _cmd_compare(args) -> str:
 def _cmd_verify(args) -> str:
     table = _load_table(args)
     reports = {
-        "ca": _verification_payload(verify(_decompose(args, table, "ca"))),
-        "tca": _verification_payload(verify(_decompose(args, table, "tca"))),
+        "ca": _verification_payload(verify(_decompose(table, "ca"))),
+        "tca": _verification_payload(verify(_decompose(table, "tca"))),
     }
     payload = {"schema": SCHEMA_VERSION, "input": _digest(table), **reports}
     if args.format == "json":
@@ -385,7 +374,7 @@ def _cmd_verify(args) -> str:
 
 def _cmd_plot(args) -> str:
     table = _load_table(args)
-    decomp = _decompose(args, table, args.method)
+    decomp = _decompose(table, args.method)
     return emit_svg_biplot(decomp, args.axis_x, args.axis_y)
 
 
@@ -400,6 +389,16 @@ _COMMANDS = {
 }
 
 
+def _write_output(text: str, output: Optional[str]) -> None:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file '{output}': {exc}") from exc
+
+
 def run_cli(argv: Optional[list[str]] = None) -> int:
     """Parse arguments, run one subcommand, and return the process exit code."""
     parser = _build_parser()
@@ -408,17 +407,13 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        text = _COMMANDS[args.command](args)
+        _write_output(_COMMANDS[args.command](args), args.output)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValidationError, TaxicaError) as exc:
+    except TaxicaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     return 0
 
 

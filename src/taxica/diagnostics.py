@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ca import Decomposition
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "ContributionTable",
@@ -123,7 +123,10 @@ def explained_variation(decomp: Decomposition) -> np.ndarray:
     """
     _require_axes(decomp)
     s2 = decomp.sigmas ** 2
-    return 100.0 * s2 / s2.sum()
+    total = s2.sum()
+    if total == 0.0:
+        raise NumericalError("squared dispersions underflow to 0; their shares are undefined")
+    return 100.0 * s2 / total
 
 
 def ca_balance(decomp: Decomposition) -> list[tuple[float, float]]:
@@ -320,8 +323,11 @@ def map_similarity(
     The first ``axes`` axes of each side are matched one-to-one so that total
     congruence is maximal. Verdict: "similar" when every paired congruence
     reaches ``threshold``, "dissimilar" when none does, "partial" otherwise.
-    More than ``MAX_MATCHED_AXES`` axes raise :class:`ValidationError`.
+    More than ``MAX_MATCHED_AXES`` axes or a non-finite ``threshold`` raise
+    :class:`ValidationError`.
     """
+    if not math.isfinite(threshold):
+        raise ValidationError(f"threshold={threshold} is not finite")
     if axes > MAX_MATCHED_AXES:
         raise ValidationError(
             f"axes={axes} would search {axes}! = {math.factorial(axes)} pairings; "

@@ -32,8 +32,8 @@ __all__ = [
     "diagonal_sigma1",
 ]
 
-#: Largest min(I, J) for which an axis is solved by exact enumeration, and
-#: the largest ``exact_threshold`` accepted: 2^(20-1) candidates per axis.
+#: Largest min(I, J) for which an axis is solved by exact enumeration:
+#: 2^(20-1) candidates per axis.
 EXACT_THRESHOLD = 20
 
 #: Dimension cap for the cut-norm oracle (2^min(I,J) subset sums).
@@ -115,7 +115,7 @@ def _enumerate_best(R: np.ndarray) -> tuple[float, np.ndarray, int]:
     return best_obj, best_w, total
 
 
-def tca_axis_exact(R, exact_threshold: int = EXACT_THRESHOLD) -> TcaAxisSolution:
+def tca_axis_exact(R) -> TcaAxisSolution:
     """Exact taxicab axis of R by enumerating signs on the smaller dimension.
 
     The objective is symmetric under global sign flips, so only the
@@ -126,10 +126,10 @@ def tca_axis_exact(R, exact_threshold: int = EXACT_THRESHOLD) -> TcaAxisSolution
     """
     R = np.asarray(R, dtype=np.float64)
     I, J = R.shape
-    if min(I, J) > exact_threshold:
+    if min(I, J) > EXACT_THRESHOLD:
         raise ValidationError(
             f"min(I, J) = {min(I, J)} exceeds the exact enumeration threshold "
-            f"{exact_threshold}; use tca_axis_iterative"
+            f"{EXACT_THRESHOLD}; use tca_axis_iterative"
         )
     if J <= I:
         _, u, tried = _enumerate_best(R)
@@ -228,32 +228,22 @@ def tca_axis_iterative(R) -> TcaAxisSolution:
     )
 
 
-def tca_decompose(
-    model: CorrespondenceModel,
-    max_axes: Optional[int] = None,
-    exact_threshold: int = EXACT_THRESHOLD,
-) -> Decomposition:
+def tca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) -> Decomposition:
     """Taxicab correspondence analysis by residual deflation.
 
     Per axis alpha, solve for the sign vector u on the current residual R,
     set f = Dr^{-1} R u, v = sign(f), g = Dc^{-1} R' v and
     sigma = sum_i r_i |f_i|, then deflate R by the rank-one term
     Dr f g' Dc / sigma. The axis solver is exact while min(I, J) is at most
-    ``exact_threshold`` (at most ``EXACT_THRESHOLD``, else
-    :class:`ValidationError`) and the multi-start ascent beyond. Deflation stops
+    ``EXACT_THRESHOLD`` and the multi-start ascent beyond. Deflation stops
     early once sigma falls below ``RANK_CUTOFF`` times the first dispersion.
     """
-    if exact_threshold > EXACT_THRESHOLD:
-        raise ValidationError(
-            f"exact_threshold={exact_threshold} exceeds the limit {EXACT_THRESHOLD}: "
-            "exact enumeration tries 2^(min(I, J) - 1) sign vectors per axis"
-        )
     I, J = model.shape
     k_max = min(I, J) - 1
     k = axes_requested(max_axes, I, J)
 
     r, c = model.r, model.c
-    exact = min(I, J) <= exact_threshold
+    exact = min(I, J) <= EXACT_THRESHOLD
     R = model.R0.copy()
 
     axes: list[Axis] = []
@@ -262,7 +252,7 @@ def tca_decompose(
     sigma_1 = None
     exhausted = False
     for _ in range(k):
-        sol = tca_axis_exact(R, exact_threshold) if exact else tca_axis_iterative(R)
+        sol = tca_axis_exact(R) if exact else tca_axis_iterative(R)
         sigma = sol.objective
         if sigma_1 is None:
             sigma_1 = sigma

@@ -1,13 +1,20 @@
+import argparse
+import contextlib
+import csv
+import io
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from taxica import NumericalError, parse_table
-from taxica.cli import _dumps, run_cli
+from taxica.cli import _build_parser, _dumps, run_cli
 
 from helpers import DATA_DIR, cli_env
 
@@ -114,12 +121,6 @@ class TestEngines:
         assert run_cli(["ca", "--input", TV, "--axes", "9"]) == 2
         assert "out of range" in capsys.readouterr().err
 
-    def test_exact_threshold_above_limit(self, capsys):
-        assert run_cli(["tca", "--input", TV, "--exact-threshold", "21"]) == 2
-        assert "exceeds the limit 20" in capsys.readouterr().err
-        payload = run_json(capsys, ["tca", "--input", TV, "--exact-threshold", "20"])
-        assert payload["tca"]["sigmas"][0] == pytest.approx(0.355921, abs=1e-6)
-
 
 class TestCompareAndVerify:
     def test_tv_similar(self, capsys):
@@ -223,6 +224,56 @@ class TestErrorsAndWarnings:
         assert "r1+r2" not in captured.out
         assert "numerical error" in captured.err and "overflows" in captured.err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # 5e-324 / n rounds to 0, so column 'c1' would get a zero mass.
+            ",c0,c1,a\nr0,3,5e-324,5\na,4,0,3\nr2,10,0,1e308\n",
+            # r_1 c_1 = 1e-308 * 1e-308 rounds to 0, though both margins are normal.
+            ",a,b,c\nr1,0,0,1\nr2,0,0,1\nr3,1,1e308,0\n",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["ca"], ["tca"], ["compare"], ["verify"], ["plot", "--method", "tca"]]
+    )
+    def test_underflowing_independence_term_exits_3(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "underflow.csv"
+        path.write_text(text)
+        assert run_cli([*argv, "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical error" in captured.err and "underflows" in captured.err
+
+    def test_dispersion_too_small_to_square_exits_3(self, capsys, tmp_path):
+        # The only TCA axis has sigma = 1e-300, whose square is 0.
+        path = tmp_path / "tiny.csv"
+        path.write_text(",a,b\nr0,0,1\nr1,1,1e150\n")
+        assert run_cli(["tca", "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "shares are undefined" in captured.err
+
+    def test_input_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(",a,b\nr\xe9,1,2\nr2,3,4\n".encode("latin-1"))
+        assert run_cli(["summarize", "--input", str(path)]) == 2
+        assert "cannot read input file" in capsys.readouterr().err
+
+    def test_output_into_missing_directory(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "map.svg"
+        assert run_cli(["plot", "--input", TV, "--output", str(out_path)]) == 2
+        assert "cannot write output file" in capsys.readouterr().err
+        assert not out_path.parent.exists()
+
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_longer_or_shorter_than_one_character(self, capsys, delimiter):
+        assert run_cli(["summarize", "--input", TOY, "--delimiter", delimiter]) == 2
+        assert "1-character" in capsys.readouterr().err
+
+    def test_non_finite_phi_threshold(self, capsys):
+        assert run_cli(["compare", "--input", TV, "--phi-threshold", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not finite" in captured.err
+
     def test_non_finite_payload_is_a_numerical_error(self):
         for value in (float("nan"), float("inf")):
             with pytest.raises(NumericalError, match="not finite"):
@@ -236,6 +287,115 @@ class TestErrorsAndWarnings:
         assert code == 0
         assert "row 'r3' dropped" in captured.err
         assert json.loads(captured.out)["input"]["rows"] == 2
+
+
+#: The flags that every subcommand reads.
+COMMON_FLAGS = {"--input", "--delimiter", "--output", "--reduced"}
+
+#: The flags of each subcommand, beyond --help.
+SUBCOMMAND_FLAGS = {
+    "summarize": COMMON_FLAGS | {"--format", "--quantile"},
+    "reduce": COMMON_FLAGS | {"--format"},
+    "ca": COMMON_FLAGS | {"--format", "--axes"},
+    "tca": COMMON_FLAGS | {"--format", "--axes"},
+    "compare": COMMON_FLAGS | {"--format", "--axes", "--phi-threshold"},
+    "verify": COMMON_FLAGS | {"--format"},
+    "plot": COMMON_FLAGS | {"--method", "--axis-x", "--axis-y"},
+}
+
+
+class TestSurface:
+    def test_each_subcommand_declares_only_the_flags_it_reads(self):
+        parser = _build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        declared = {
+            name: {flag for action in p._actions for flag in action.option_strings}
+            - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert declared == SUBCOMMAND_FLAGS
+        assert sum(len(flags) for flags in declared.values()) == 42
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plot", "--format", "table"],
+            ["verify", "--axes", "2"],
+            ["ca", "--quantile", "hinges"],
+            ["summarize", "--axes", "1"],
+            ["tca", "--exact-threshold", "20"],
+        ],
+    )
+    def test_flags_a_subcommand_does_not_read_are_refused(self, capsys, argv):
+        assert run_cli([*argv, "--input", TV]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+#: Cells beyond small counts: non-finite, negative, underscored, subnormal
+#: and huge values.
+SPECIAL_CELLS = ["nan", "inf", "-1", "1_000", "5e-324", "2.5e-310", "1e308", "1e200"]
+
+#: Labels beyond the unique default: blank, duplicate, and ones that need
+#: quoting because they hold a delimiter or a quote.
+SPECIAL_LABELS = ["", " ", "r0", "c0", "x,y", "x;y", "x\ty", 'q"t']
+
+#: Every subcommand, and the TCA biplot.
+FUZZ_COMMANDS = [
+    ["summarize"], ["reduce"], ["ca"], ["tca"], ["compare"], ["verify"], ["plot"],
+    ["plot", "--method", "tca"],
+]
+
+NON_FINITE_TEXT = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@st.composite
+def csv_inputs(draw):
+    """CSV text as a user might hand it over, and its delimiter. Zeros,
+    default labels and full rows are drawn more often than the rest, so that
+    most tables get past parsing and validation."""
+    n_rows = draw(st.integers(1, 5))
+    n_cols = draw(st.integers(1, 5))
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    cell = st.one_of(
+        st.just("0"), st.integers(1, 12).map(str), st.sampled_from(SPECIAL_CELLS)
+    )
+
+    def label(default):
+        return draw(st.sampled_from(SPECIAL_LABELS)) if draw(st.integers(0, 3)) == 0 else default
+
+    records = [[""] + [label(f"c{j}") for j in range(n_cols)]]
+    for i in range(n_rows):
+        width = n_cols + draw(st.sampled_from([0] * 8 + [-1, 1]))  # some ragged rows
+        records.append([label(f"r{i}")] + [draw(cell) for _ in range(width)])
+    out = io.StringIO()
+    line_end = draw(st.sampled_from(["\n", "\r\n"]))
+    csv.writer(out, delimiter=delimiter, lineterminator=line_end).writerows(records)
+    text = out.getvalue()
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text, delimiter
+
+
+class TestFuzzedInput:
+    @given(csv_inputs(), st.booleans())
+    @example((",c0,c1,a\nr0,3,5e-324,5\na,4,0,3\nr2,10,0,1e308\n", ","), False)
+    @settings(max_examples=120, deadline=None)
+    def test_every_subcommand_exits_cleanly(self, tmp_path_factory, case, reduced):
+        text, delimiter = case
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_text(text, encoding="utf-8")
+        for argv in FUZZ_COMMANDS:
+            argv = [*argv, "--input", str(path), "--delimiter", delimiter]
+            if reduced:
+                argv.append("--reduced")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_cli(argv)
+            assert code in (0, 2, 3), (argv, err.getvalue())
+            assert not NON_FINITE_TEXT.search(out.getvalue()), argv
+            if code:
+                assert out.getvalue() == "", argv
 
 
 def write_wide_table(directory) -> str:

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from taxica import (
     Axis,
     Decomposition,
+    NumericalError,
     ValidationError,
     build_model,
     ca_balance,
@@ -100,6 +101,12 @@ class TestExplainedVariation:
         model = build_model(make_table(8.0 * np.outer([0.5, 0.5], [0.5, 0.5])))
         with pytest.raises(ValidationError):
             explained_variation(ca_decompose(model))
+
+    def test_dispersions_whose_squares_underflow_raise(self):
+        decomp = tca_decompose(build_model(make_table([[0, 1], [1, 1e150]])))
+        assert decomp.sigmas[0] == pytest.approx(1e-300)
+        with pytest.raises(NumericalError, match="underflow"):
+            explained_variation(decomp)
 
 
 class TestCaBalance:
@@ -215,6 +222,11 @@ class TestMapSimilarity:
     def test_axes_out_of_range(self, tv_ca, tv_tca):
         with pytest.raises(ValidationError, match="out of range"):
             map_similarity(tv_ca, tv_tca, axes=7)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, tv_ca, tv_tca, threshold):
+        with pytest.raises(ValidationError, match="not finite"):
+            map_similarity(tv_ca, tv_tca, axes=2, threshold=threshold)
 
 
 def _brute_force_pairing(phi):

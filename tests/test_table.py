@@ -40,6 +40,11 @@ class TestParse:
         table = parse_table(";a;b\nr1;1;2", delimiter=";")
         assert table.counts.tolist() == [[1, 2]]
 
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_must_be_one_character(self, delimiter):
+        with pytest.raises(ParseError, match="1-character"):
+            parse_table(",a,b\nr1,1,2", delimiter=delimiter)
+
     def test_wrong_cell_count(self):
         with pytest.raises(ParseError, match="row 'r1'.*expected 2"):
             parse_table(",a,b\nr1,1\nr2,2,3")
@@ -49,19 +54,19 @@ class TestParse:
             parse_table(",a,b\nr1,1,2\nr2,3,oops")
 
     def test_negative_entry(self):
-        with pytest.raises(ParseError, match="negative.*row 'r1', column 'a'"):
+        with pytest.raises(ValidationError, match="negative.*row 'r1', column 'a'"):
             parse_table(",a,b\nr1,-1,2")
 
     def test_non_finite_entry(self):
-        with pytest.raises(ParseError, match="non-finite"):
+        with pytest.raises(ValidationError, match="non-finite"):
             parse_table(",a,b\nr1,nan,2")
 
     def test_duplicate_row_label(self):
-        with pytest.raises(ParseError, match="duplicate row label 'r1'"):
+        with pytest.raises(ValidationError, match="duplicate row label 'r1'"):
             parse_table(",a,b\nr1,1,2\nr1,3,4")
 
     def test_duplicate_col_label(self):
-        with pytest.raises(ParseError, match="duplicate column label 'a'"):
+        with pytest.raises(ValidationError, match="duplicate column label 'a'"):
             parse_table(",a,a\nr1,1,2")
 
     def test_empty_input(self):
@@ -179,6 +184,17 @@ class TestBuildModel:
         table = make_table([[1, 0], [0, 2], [0, 0]])
         with pytest.raises(ValidationError, match="validate"):
             build_model(table)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [[3, 5e-324, 5], [4, 0, 3], [10, 0, 1e308]],  # c_2 = 5e-324 / n = 0
+            [[0, 0, 1], [0, 0, 1], [1, 1e308, 0]],  # r_1 c_1 = 1e-308 * 1e-308 = 0
+        ],
+    )
+    def test_underflowing_independence_term_is_a_numerical_error(self, counts):
+        with pytest.raises(NumericalError, match="underflows"):
+            build_model(make_table(counts))
 
     @pytest.mark.parametrize("k", [2, 3, 10])
     def test_scale_invariance_exact_for_integer_tables(self, toy_table, k):

@@ -77,7 +77,7 @@ class TestAxisExact:
 
     def test_dimension_cap(self):
         with pytest.raises(ValidationError, match="threshold"):
-            tca_axis_exact(np.zeros((25, 30)), exact_threshold=20)
+            tca_axis_exact(np.zeros((25, 30)))
 
     def test_sign_invariant_v(self, rodents_table):
         R0 = build_model(rodents_table).R0
@@ -277,18 +277,18 @@ class TestTcaDecompose:
         assert_allclose(tv_tca.residuals[0], model.R0)
 
     def test_forced_iterative_agrees_on_toy(self, toy_minimal):
-        model = build_model(toy_minimal)
-        exact = tca_decompose(model)
-        heuristic = tca_decompose(model, exact_threshold=1)
-        assert heuristic.solutions[0].solver == "iterative"
-        assert_allclose(heuristic.sigmas, exact.sigmas, atol=1e-12)
+        exact = tca_decompose(build_model(toy_minimal))
+        assert exact.solutions[0].solver == "exact"
+        for residual, sigma in zip(exact.residuals, exact.sigmas):
+            assert tca_axis_iterative(residual).objective == pytest.approx(sigma, abs=1e-12)
 
-    def test_exact_threshold_limit(self, toy_minimal):
-        model = build_model(toy_minimal)
-        with pytest.raises(ValidationError, match=f"limit {EXACT_THRESHOLD}"):
-            tca_decompose(model, exact_threshold=EXACT_THRESHOLD + 1)
-        at_limit = tca_decompose(model, exact_threshold=EXACT_THRESHOLD)
-        assert at_limit.solutions[0].solver == "exact"
+    def test_solver_follows_the_smaller_side(self):
+        # Exact up to min(I, J) = EXACT_THRESHOLD, the ascent one line beyond.
+        rng = np.random.default_rng(7)
+        for side, solver in ((EXACT_THRESHOLD, "exact"), (EXACT_THRESHOLD + 1, "iterative")):
+            counts = rng.poisson(3.0, size=(side + 1, side)).T + 1.0
+            decomp = tca_decompose(build_model(make_table(counts)), max_axes=1)
+            assert decomp.solutions[0].solver == solver
 
     def test_max_axes_validation(self, tv_table):
         model = build_model(tv_table)
