@@ -1,92 +1,54 @@
 """Correspondence analysis and taxicab correspondence analysis for sparse
 contingency tables, with equivalence-class reduction, sparsity summaries,
-contribution diagnostics and map comparison."""
+contribution diagnostics and map comparison.
 
-from .ca import Axis, Decomposition, ca_decompose, pearson_residuals, symmetric_eigen
-from .diagnostics import (
-    CheckResult,
-    ContributionTable,
-    SimilarityReport,
-    VerificationReport,
-    ca_balance,
-    contributions,
-    explained_variation,
-    map_similarity,
-    verify,
-)
-from .errors import NumericalError, ParseError, TaxicaError, ValidationError
-from .reduction import MergeStep, ReductionTrace, apply_grouping, proportional, reduce_to_minimal
-from .sparsity import (
-    SparsityClass,
-    SparsityLevel,
-    SparsitySummary,
-    classify,
-    five_number,
-    seven_number,
-    zero_percentage_bound,
-)
-from .svg import emit_svg_biplot
-from .table import (
-    ContingencyTable,
-    CorrespondenceModel,
-    build_model,
-    parse_table,
-    serialize_table,
-    validate_table,
-)
-from .tca import (
-    TcaAxisSolution,
-    cut_norm_bruteforce,
-    diagonal_sigma1,
-    tca_axis_exact,
-    tca_axis_iterative,
-    tca_decompose,
-)
+The public names load on first use (PEP 562), so ``import taxica`` and the
+command's argument parsing do not import numpy.
+"""
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Axis",
-    "CheckResult",
-    "ContingencyTable",
-    "ContributionTable",
-    "CorrespondenceModel",
-    "Decomposition",
-    "MergeStep",
-    "NumericalError",
-    "ParseError",
-    "ReductionTrace",
-    "SimilarityReport",
-    "SparsityClass",
-    "SparsityLevel",
-    "SparsitySummary",
-    "TaxicaError",
-    "TcaAxisSolution",
-    "ValidationError",
-    "VerificationReport",
-    "apply_grouping",
-    "build_model",
-    "ca_balance",
-    "ca_decompose",
-    "classify",
-    "contributions",
-    "cut_norm_bruteforce",
-    "diagonal_sigma1",
-    "emit_svg_biplot",
-    "explained_variation",
-    "five_number",
-    "map_similarity",
-    "parse_table",
-    "pearson_residuals",
-    "proportional",
-    "reduce_to_minimal",
-    "serialize_table",
-    "seven_number",
-    "symmetric_eigen",
-    "tca_axis_exact",
-    "tca_axis_iterative",
-    "tca_decompose",
-    "validate_table",
-    "verify",
-    "zero_percentage_bound",
-]
+#: Each public name and the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "ca": ("Axis", "Decomposition", "ca_decompose", "pearson_residuals", "symmetric_eigen"),
+        "diagnostics": (
+            "CheckResult", "ContributionTable", "SimilarityReport", "VerificationReport",
+            "ca_balance", "contributions", "explained_variation", "map_similarity", "verify",
+        ),
+        "errors": ("NumericalError", "ParseError", "TaxicaError", "ValidationError"),
+        "reduction": (
+            "MergeStep", "ReductionTrace", "apply_grouping", "proportional", "reduce_to_minimal",
+        ),
+        "sparsity": (
+            "SparsityClass", "SparsityLevel", "SparsitySummary", "classify", "five_number",
+            "seven_number", "zero_percentage_bound",
+        ),
+        "svg": ("emit_svg_biplot",),
+        "table": (
+            "ContingencyTable", "CorrespondenceModel", "build_model", "parse_table",
+            "serialize_table", "validate_table",
+        ),
+        "tca": (
+            "TcaAxisSolution", "cut_norm_bruteforce", "diagonal_sigma1", "tca_axis_exact",
+            "tca_axis_iterative", "tca_decompose",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -199,15 +199,19 @@ def _orient(g: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, f
 
 
-def axes_requested(max_axes: Optional[int], I: int, J: int) -> int:
+def axes_requested(
+    max_axes: Optional[int], I: int, J: int, label: Optional[str] = None
+) -> int:
     """Number of axes to extract from an I x J table: ``max_axes``, checked
-    against 1..min(I, J) - 1, or that maximal rank when it is None."""
+    against 1..min(I, J) - 1, or that maximal rank when it is None. An
+    out-of-range value is named by ``label`` in the error, by default
+    ``max_axes=<value>``."""
     k_max = min(I, J) - 1
     if max_axes is None:
         return k_max
     if not 1 <= max_axes <= k_max:
         raise ValidationError(
-            f"max_axes={max_axes} out of range 1..{k_max} for a {I}x{J} table"
+            f"{label or f'max_axes={max_axes}'} out of range 1..{k_max} for a {I}x{J} table"
         )
     return max_axes
 

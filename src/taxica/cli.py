@@ -3,13 +3,14 @@
 All results are emitted as JSON (schema version 1, floats at 12 significant
 digits) or as fixed-precision text tables; biplots are emitted as SVG.
 Exit codes: 0 success, 2 parse/validation failure, 3 numerical failure.
+The argument parser and the process entry live in :mod:`taxica.entry`,
+which parses argv before this module (and numpy) loads.
 """
 from __future__ import annotations
 
 import argparse
-import gc
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Optional
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .ca import Decomposition, axes_requested, ca_decompose
 from .diagnostics import (
+    MAX_MATCHED_AXES,
     SimilarityReport,
     VerificationReport,
     contributions,
@@ -24,6 +26,7 @@ from .diagnostics import (
     map_similarity,
     verify,
 )
+from .entry import build_parser
 from .errors import NumericalError, TaxicaError, ValidationError
 from .reduction import ReductionTrace, reduce_to_minimal
 from .sparsity import classify, seven_number
@@ -31,37 +34,85 @@ from .svg import emit_svg_biplot
 from .table import ContingencyTable, build_model, parse_table, serialize_table, validate_table
 from .tca import tca_decompose
 
-__all__ = ["run_cli", "main"]
+__all__ = ["run_cli", "run_args"]
 
 SCHEMA_VERSION = 1
 
 
-def _sig12(x: float) -> float:
-    # 12 significant digits; keeps JSON output byte-stable across runs.
-    return float(f"{float(x):.12g}")
+def _float_text(token: str) -> str:
+    """JSON text of a float formatted with ``.12g``, for the tokens whose
+    text is not already ``repr(float(token))``: integral values (``-0``
+    included), which repr writes with ``.0``; exponents 12..15, which repr
+    writes positionally; and exponents below -307, where a subnormal has
+    fewer digits than 12. NaN and infinity raise :class:`NumericalError`."""
+    if "e" not in token:
+        if token in ("nan", "inf", "-inf"):
+            raise NumericalError(f"result is not finite: {token}")
+        return token + ".0"
+    exponent = int(token[token.index("e") + 1 :])
+    if 12 <= exponent <= 15 or exponent < -307:
+        return repr(float(token))
+    return token
 
 
-def _jsonable(obj):
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return _sig12(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+def _floats(values) -> list[str]:
+    # Each float rounded to 12 significant digits, which keeps the output
+    # byte-stable across runs; a token with a point and no exponent is
+    # already the repr of the rounded value.
+    tokens = [f"{v:.12g}" for v in values]
+    return [t if "." in t and "e" not in t else _float_text(t) for t in tokens]
+
+
+def _emit(obj, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``obj`` to ``out``; ``newline`` is the line
+    break plus the indentation of ``obj``'s own line."""
+    if isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_floats((float(obj),))[0])
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key, value in obj.items():
+            out.append(f"{lead}{_json_str(key)}: ")
+            _emit(value, inner, out)
+            lead = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype.kind == "f" and obj.size:
+            inner = newline + "  "
+            out.append(f"[{inner}{(',' + inner).join(_floats(obj.tolist()))}{newline}]")
+        else:
+            _emit(obj.tolist(), newline, out)
+    elif not obj:  # an empty list or tuple
+        out.append("[]")
+    else:
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in obj:
+            out.append(lead)
+            _emit(item, inner, out)
+            lead = "," + inner
+        out.append(newline + "]")
 
 
 def _dumps(payload: dict) -> str:
-    try:
-        return json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:  # a NaN or infinity reached the payload
-        raise NumericalError(f"result is not finite: {exc}") from exc
+    """``payload`` as JSON with two-space indents and ASCII-escaped strings,
+    the layout of ``json.dumps(..., indent=2)``, with every float (numpy
+    scalars and arrays included) at 12 significant digits."""
+    out: list[str] = []
+    _emit(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _digest(table: ContingencyTable) -> dict:
@@ -191,54 +242,6 @@ def _render_decomposition_table(payload: dict, table: ContingencyTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="taxica",
-        description="Correspondence analysis and taxicab correspondence "
-        "analysis of contingency tables.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name: str, summary: str, default_format: Optional[str]):
-        # The flags every subcommand reads; --format unless default_format is None.
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--input", required=True, help="CSV file with labeled counts")
-        p.add_argument("--delimiter", default=",", help="CSV delimiter (default ',')")
-        p.add_argument("--output", default=None, help="write results here instead of stdout")
-        if default_format is not None:
-            p.add_argument(
-                "--format", choices=("json", "table"), default=default_format,
-                help=f"output format (default {default_format})",
-            )
-        p.add_argument(
-            "--reduced", action="store_true",
-            help="analyze the minimal representative table instead of the input",
-        )
-        return p
-
-    p_sum = add_command("summarize", "7-number sparsity summaries of N and M", "table")
-    p_sum.add_argument(
-        "--quantile", choices=("hinges", "interpolated"), default="hinges",
-        help="quartile rule for sparsity summaries (default hinges)",
-    )
-    add_command("reduce", "merge proportional lines down to the minimal table", "table")
-    p_ca = add_command("ca", "correspondence analysis", "json")
-    p_tca = add_command("tca", "taxicab correspondence analysis", "json")
-    p_cmp = add_command("compare", "CA vs TCA map similarity", "json")
-    for p in (p_ca, p_tca, p_cmp):
-        p.add_argument("--axes", type=int, default=None, help="number of axes to report")
-    p_cmp.add_argument(
-        "--phi-threshold", type=float, default=0.9,
-        help="congruence needed to call a pair of axes similar (default 0.9)",
-    )
-    add_command("verify", "check decomposition invariants", "json")
-    p_plot = add_command("plot", "emit an SVG biplot", None)
-    p_plot.add_argument("--method", choices=("ca", "tca"), default="ca")
-    p_plot.add_argument("--axis-x", type=int, default=1, help="1-based axis for x")
-    p_plot.add_argument("--axis-y", type=int, default=2, help="1-based axis for y")
-    return parser
-
-
 def _load_table(args) -> ContingencyTable:
     path = Path(args.input)
     try:
@@ -315,7 +318,7 @@ def _decompose(table: ContingencyTable, method: str) -> Decomposition:
 
 def _cmd_engine(args, method: str) -> str:
     table = _load_table(args)
-    report_axes = axes_requested(args.axes, *table.shape)
+    report_axes = axes_requested(args.axes, *table.shape, label=f"--axes {args.axes}")
     decomp = _decompose(table, method)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -331,7 +334,16 @@ def _cmd_compare(args) -> str:
     table = _load_table(args)
     d_ca = _decompose(table, "ca")
     d_tca = _decompose(table, "tca")
-    axes = args.axes if args.axes is not None else min(2, d_ca.rank_used, d_tca.rank_used)
+    I, J = table.shape
+    rank = min(d_ca.rank_used, d_tca.rank_used)
+    if rank == 0:
+        raise ValidationError(
+            f"the {I}x{J} table has no axis: its lines are proportional up to rounding"
+        )
+    axes = args.axes if args.axes is not None else min(2, rank)
+    # Above MAX_MATCHED_AXES, map_similarity refuses the pairing search itself.
+    if axes <= MAX_MATCHED_AXES and not 1 <= axes <= rank:
+        raise ValidationError(f"--axes {axes} out of range 1..{rank} for a {I}x{J} table")
     report = map_similarity(d_ca, d_tca, axes=axes, threshold=args.phi_threshold)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -399,13 +411,8 @@ def _write_output(text: str, output: Optional[str]) -> None:
         raise ValidationError(f"cannot write output file '{output}': {exc}") from exc
 
 
-def run_cli(argv: Optional[list[str]] = None) -> int:
-    """Parse arguments, run one subcommand, and return the process exit code."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
+def run_args(args: argparse.Namespace) -> int:
+    """Run the subcommand of parsed arguments and return the exit code."""
     try:
         _write_output(_COMMANDS[args.command](args), args.output)
     except NumericalError as exc:
@@ -417,8 +424,10 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
     return 0
 
 
-def main() -> None:
-    code = run_cli(sys.argv[1:])
-    # Untrack the import-time objects so the collections at shutdown skip them.
-    gc.freeze()
-    sys.exit(code)
+def run_cli(argv: Optional[list[str]] = None) -> int:
+    """Parse arguments, run one subcommand, and return the process exit code."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code is not None else 0
+    return run_args(args)

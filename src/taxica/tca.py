@@ -237,6 +237,11 @@ def tca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) ->
     Dr f g' Dc / sigma. The axis solver is exact while min(I, J) is at most
     ``EXACT_THRESHOLD`` and the multi-start ascent beyond. Deflation stops
     early once sigma falls below ``RANK_CUTOFF`` times the first dispersion.
+    No axis is kept when the first dispersion is within the rounding level
+    of R0 = P - r c', 2 (I + J + 2) eps sum(P): then R0 is the rounding
+    left of a table of proportional lines, as in ``ca_decompose``'s dim *
+    eps rule. (A floor relative to sum|R0| would never apply, as sigma_1 is
+    at least sum|R0| / sqrt(2 min(I, J)).)
     """
     I, J = model.shape
     k_max = min(I, J) - 1
@@ -245,6 +250,7 @@ def tca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) ->
     r, c = model.r, model.c
     exact = min(I, J) <= EXACT_THRESHOLD
     R = model.R0.copy()
+    noise_floor = 2 * (I + J + 2) * np.finfo(np.float64).eps * float(model.P.sum())
 
     axes: list[Axis] = []
     residuals: list[np.ndarray] = []
@@ -256,7 +262,7 @@ def tca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) ->
         sigma = sol.objective
         if sigma_1 is None:
             sigma_1 = sigma
-        if sigma_1 == 0.0 or sigma < RANK_CUTOFF * sigma_1:
+        if sigma_1 <= noise_floor or sigma < RANK_CUTOFF * sigma_1:
             exhausted = True
             break
         f = (R @ sol.u) / r

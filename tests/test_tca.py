@@ -303,6 +303,20 @@ class TestTcaDecompose:
         decomp = tca_decompose(model)
         assert decomp.rank_used == 0
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [[5, 6], [10, 12]],
+            [[1, 3, 7], [3, 9, 21], [2, 6, 14]],
+            np.outer(np.arange(1.0, 31.0), [0.3, 1.7, 2.9, 0.1, 5.3, 1.1]),
+        ],
+    )
+    def test_proportional_lines_have_no_axes(self, counts):
+        # R0 is rounding noise; before the rank floor, the first table kept
+        # an axis of sigma 8.3e-17 with contributions -333 / -667.
+        decomp = tca_decompose(build_model(make_table(counts)))
+        assert decomp.rank_used == 0 and decomp.is_full_rank
+
     def test_dispersions_need_not_decrease(self):
         # L1 deflation can leave a residual whose optimum beats the first
         # axis; every structural identity still holds, axis by axis.
