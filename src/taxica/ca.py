@@ -28,6 +28,9 @@ __all__ = ["Axis", "Decomposition", "pearson_residuals", "symmetric_eigen", "ca_
 #: treated as numerical zeros and discarded.
 RANK_CUTOFF = 1e-12
 
+#: Eigenpair residual allowed by ``symmetric_eigen``, relative to ||A||.
+EIGEN_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class Axis:
@@ -48,6 +51,11 @@ class Axis:
             arr.setflags(write=False)
 
 
+def _deflate(R: np.ndarray, r: np.ndarray, c: np.ndarray, axis: Axis) -> np.ndarray:
+    """R less the rank-one term Dr f g' Dc / sigma that ``axis`` carries."""
+    return R - np.outer(r * axis.f, c * axis.g) / axis.sigma
+
+
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """Axes of a CA or TCA decomposition of one correspondence model.
@@ -55,19 +63,33 @@ class Decomposition:
     Axes appear in extraction order: nonincreasing dispersion for CA, and
     deflation order for TCA (typically, but provably not always, monotone:
     the optimum over a deflated residual can exceed the previous axis).
-    ``residuals`` (TCA only) stores the residual matrix each axis was
-    extracted from; ``solutions`` (TCA only) stores per-axis solver metadata.
+    ``solutions`` (TCA only) stores per-axis solver metadata.
     ``is_full_rank`` tells whether every numerically nonzero axis is present,
-    which is what the data reconstruction identity requires.
+    which is what the data reconstruction identity requires. ``rank_used``
+    and ``residuals`` are derived from the axes on each read.
     """
 
     method: str  # "CA" or "TCA"
     axes: tuple[Axis, ...]
-    rank_used: int
     model: CorrespondenceModel
     is_full_rank: bool = True
-    residuals: Optional[tuple[np.ndarray, ...]] = None
     solutions: Optional[tuple] = None
+
+    @property
+    def rank_used(self) -> int:
+        return len(self.axes)
+
+    @property
+    def residuals(self) -> Optional[tuple[np.ndarray, ...]]:
+        """TCA only (None for CA): the residual each axis was solved on, R0
+        first, replayed bit for bit with ``tca_decompose``'s deflation."""
+        if self.method != "TCA":
+            return None
+        r, c = self.model.r, self.model.c
+        residuals = [self.model.R0] if self.axes else []
+        for axis in self.axes[:-1]:
+            residuals.append(_deflate(residuals[-1], r, c, axis))
+        return tuple(residuals)
 
     @property
     def sigmas(self) -> np.ndarray:
@@ -110,7 +132,7 @@ def _off_norm(a: np.ndarray) -> float:
     return np.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
 
 
-def symmetric_eigen(A, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def symmetric_eigen(A) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric PSD matrix, sorted descending.
 
     Jacobi rotations in round-robin order, capped at 100 sweeps: each sweep
@@ -119,10 +141,10 @@ def symmetric_eigen(A, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     non-finite or non-symmetric input (max |A - A'| > 1e-12 max |A|), and
     :class:`NumericalError` if the off-diagonal mass has not vanished after
     100 sweeps or if any eigenpair misses the residual contract
-    ||A x - lam x|| <= tol * ||A||. Round-off eigenvalues in
-    [-tol * ||A||, 0) are clamped to 0; anything more negative is rejected
-    as not PSD. Returns ``(lam, V)`` with unit-norm eigenvectors in the
-    columns of ``V``.
+    ||A x - lam x|| <= EIGEN_TOL * ||A||. Round-off eigenvalues in
+    [-EIGEN_TOL * ||A||, 0) are clamped to 0; anything more negative is
+    rejected as not PSD. Returns ``(lam, V)`` with unit-norm eigenvectors in
+    the columns of ``V``.
 
     The rotation loop uses elementwise updates only (no BLAS), so results are
     bit-identical regardless of BLAS threading.
@@ -181,12 +203,12 @@ def symmetric_eigen(A, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     lam = lam[order]
     V = V[:, order]
 
-    if lam[-1] < -tol * norm:
+    if lam[-1] < -EIGEN_TOL * norm:
         raise NumericalError(f"matrix is not PSD: eigenvalue {lam[-1]:.3e}")
     residual = np.max(np.abs(A @ V - V * lam))
-    if not residual <= tol * norm:
+    if not residual <= EIGEN_TOL * norm:
         raise NumericalError(
-            f"eigenpair residual {residual:.3e} exceeds {tol:g} * ||A||"
+            f"eigenpair residual {residual:.3e} exceeds {EIGEN_TOL:g} * ||A||"
         )
     return np.clip(lam, 0.0, None), V
 
@@ -277,7 +299,6 @@ def ca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) -> 
     return Decomposition(
         method="CA",
         axes=tuple(axes),
-        rank_used=len(axes),
         model=model,
         is_full_rank=(n_keep == n_nonzero),
     )

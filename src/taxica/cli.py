@@ -251,7 +251,7 @@ def _load_table(args) -> ContingencyTable:
     table = parse_table(text, delimiter=args.delimiter)
     if not table.is_integer_valued():
         print("warning: table has non-integer entries", file=sys.stderr)
-    table, warnings = validate_table(table, policy="drop")
+    table, warnings = validate_table(table)
     for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
     if args.reduced:
@@ -402,13 +402,16 @@ _COMMANDS = {
 
 
 def _write_output(text: str, output: Optional[str]) -> None:
-    if not output:
-        sys.stdout.write(text)
-        return
+    # stdout is flushed here, so a full disk or closed pipe fails in the guard
     try:
-        Path(output).write_text(text, encoding="utf-8")
+        if output:
+            Path(output).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        raise ValidationError(f"cannot write output file '{output}': {exc}") from exc
+        target = f"file '{output}'" if output else "to stdout"
+        raise ValidationError(f"cannot write output {target}: {exc}") from exc
 
 
 def run_args(args: argparse.Namespace) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ca import Decomposition
+from .ca import Decomposition, _deflate
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -256,22 +256,21 @@ def verify(decomp: Decomposition) -> VerificationReport:
                 )
         add("conjugacy", conj, 1e-9)
 
-        if decomp.residuals is not None:
-            quad = 0.0
-            for axis, R in zip(axes, decomp.residuals):
-                u_pos, u_neg = (axis.u + 1.0) / 2.0, (axis.u - 1.0) / 2.0
-                v_pos, v_neg = (axis.v + 1.0) / 2.0, (axis.v - 1.0) / 2.0
-                quarter = axis.sigma / 4.0
-                quad = max(
-                    quad,
-                    abs(float(v_pos @ R @ u_pos) - quarter),
-                    abs(float(v_neg @ R @ u_neg) - quarter),
-                    abs(abs(float(v_neg @ R @ u_pos)) - quarter),
-                    abs(abs(float(v_pos @ R @ u_neg)) - quarter),
-                )
-            add("quadrant-balance", quad, 1e-9)
-        else:
-            add("quadrant-balance", 0.0, 1e-9, applicable=False, note="no residuals stored")
+        # one residual at a time, replayed as in Decomposition.residuals
+        quad, R = 0.0, model.R0
+        for axis in axes:
+            u_pos, u_neg = (axis.u + 1.0) / 2.0, (axis.u - 1.0) / 2.0
+            v_pos, v_neg = (axis.v + 1.0) / 2.0, (axis.v - 1.0) / 2.0
+            quarter = axis.sigma / 4.0
+            quad = max(
+                quad,
+                abs(float(v_pos @ R @ u_pos) - quarter),
+                abs(float(v_neg @ R @ u_neg) - quarter),
+                abs(abs(float(v_neg @ R @ u_pos)) - quarter),
+                abs(abs(float(v_pos @ R @ u_neg)) - quarter),
+            )
+            R = _deflate(R, r, c, axis)
+        add("quadrant-balance", quad, 1e-9)
 
     if decomp.is_full_rank:
         add("reconstruction", _reconstruction_residual(decomp), 1e-9)

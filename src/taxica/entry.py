@@ -9,13 +9,8 @@ from __future__ import annotations
 
 import argparse
 import os
-import sys
 
 __all__ = ["build_parser", "main"]
-
-#: Exit status when stdout or stderr cannot be flushed at exit, as CPython
-#: reports it after a failed flush at shutdown.
-FLUSH_FAILED = 120
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,21 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main() -> None:
     """Run one subcommand on ``sys.argv`` and end the process.
 
-    After the subcommand, stdout and stderr are flushed and the process ends
-    with ``os._exit``, which skips the interpreter's teardown (atexit hooks,
-    module and heap cleanup) that a CLI call does not need.
+    The subcommand has written and flushed its output, and stderr is line
+    buffered, so the process ends with ``os._exit``, which skips the
+    interpreter's teardown (atexit hooks, module and heap cleanup) that a
+    CLI call does not need.
     """
     args = build_parser().parse_args()  # --help and usage errors exit here
     from .cli import run_args
 
-    code = run_args(args)
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            stream.flush()
-        except (OSError, ValueError) as exc:  # e.g. a closed pipe or a full disk
-            code = FLUSH_FAILED
-            try:
-                os.write(2, f"error: cannot flush {stream.name}: {exc}\n".encode())
-            except OSError:
-                pass
-    os._exit(code)
+    os._exit(run_args(args))

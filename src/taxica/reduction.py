@@ -18,6 +18,9 @@ from .table import ContingencyTable
 
 __all__ = ["MergeStep", "ReductionTrace", "proportional", "reduce_to_minimal", "apply_grouping"]
 
+#: Relative difference up to which two lines count as proportional.
+PROPORTIONAL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class MergeStep:
@@ -76,7 +79,7 @@ def _proportional_to(line, line_sum, others, other_sums, tol: float) -> np.ndarr
     return np.all(np.abs(lhs - rhs) <= tol * np.maximum(np.abs(lhs), np.abs(rhs)), axis=1)
 
 
-def proportional(x, y, tol: float = 1e-9) -> bool:
+def proportional(x, y, tol: float = PROPORTIONAL_TOL) -> bool:
     """Test whether two nonnegative vectors are proportional.
 
     Uses cross-multiplication, (sum y) * x == (sum x) * y, so that integer
@@ -128,7 +131,7 @@ def _proportional_groups(lines: np.ndarray, tol: float) -> list[list[int]]:
     return [groups[k] for k in sorted(groups)]
 
 
-def reduce_to_minimal(table: ContingencyTable, tol: float = 1e-9) -> ReductionTrace:
+def reduce_to_minimal(table: ContingencyTable) -> ReductionTrace:
     """Merge proportional lines until no two rows or columns are proportional.
 
     Alternates full row passes and column passes until a fixed point: merging
@@ -149,7 +152,7 @@ def reduce_to_minimal(table: ContingencyTable, tol: float = 1e-9) -> ReductionTr
     def merge_axis(axis: str) -> bool:
         nonlocal work, row_groups, col_groups
         lines = work if axis == "row" else work.T
-        groups = _proportional_groups(lines, tol)
+        groups = _proportional_groups(lines, PROPORTIONAL_TOL)
         if all(len(g) == 1 for g in groups):
             return False
         orig_groups = row_groups if axis == "row" else col_groups

@@ -189,26 +189,19 @@ def serialize_table(table: ContingencyTable, delimiter: str = ",") -> str:
     return out.getvalue()
 
 
-def validate_table(
-    table: ContingencyTable, policy: str = "drop"
-) -> tuple[ContingencyTable, list[str]]:
-    """Remove or reject all-zero rows and columns.
+def validate_table(table: ContingencyTable) -> tuple[ContingencyTable, list[str]]:
+    """Remove all-zero rows and columns.
 
-    Under ``drop`` (the default) every all-zero line is removed and a warning
-    naming its label is returned; under ``reject`` their presence raises
-    :class:`ValidationError`. The returned table has strictly positive
-    margins, which every downstream analysis requires.
+    Every all-zero line is removed and a warning naming its label is
+    returned. The returned table has strictly positive margins, which every
+    downstream analysis requires.
     """
-    if policy not in ("drop", "reject"):
-        raise ValueError(f"unknown policy {policy!r}, expected 'drop' or 'reject'")
     row_zero = table.counts.sum(axis=1) == 0
     col_zero = table.counts.sum(axis=0) == 0
     if not (row_zero.any() or col_zero.any()):
         return table, []
     names = [f"row '{table.row_labels[i]}'" for i in np.flatnonzero(row_zero)]
     names += [f"column '{table.col_labels[j]}'" for j in np.flatnonzero(col_zero)]
-    if policy == "reject":
-        raise ValidationError("all-zero lines present: " + ", ".join(names))
     warnings = [f"{name} dropped (all entries zero)" for name in names]
     keep_r = np.flatnonzero(~row_zero)
     keep_c = np.flatnonzero(~col_zero)

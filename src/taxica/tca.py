@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ca import RANK_CUTOFF, Axis, Decomposition, axes_requested
+from .ca import RANK_CUTOFF, Axis, Decomposition, _deflate, axes_requested
 from .errors import ValidationError
 from .table import CorrespondenceModel
 
@@ -249,11 +249,10 @@ def tca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) ->
 
     r, c = model.r, model.c
     exact = min(I, J) <= EXACT_THRESHOLD
-    R = model.R0.copy()
+    R = model.R0
     noise_floor = 2 * (I + J + 2) * np.finfo(np.float64).eps * float(model.P.sum())
 
     axes: list[Axis] = []
-    residuals: list[np.ndarray] = []
     solutions: list[TcaAxisSolution] = []
     sigma_1 = None
     exhausted = False
@@ -265,27 +264,21 @@ def tca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) ->
         if sigma_1 <= noise_floor or sigma < RANK_CUTOFF * sigma_1:
             exhausted = True
             break
-        f = (R @ sol.u) / r
-        g = (R.T @ sol.v) / c
-        axes.append(Axis(f=f, g=g, sigma=sigma, u=sol.u, v=sol.v))
-        residuals.append(R)
+        axis = Axis(f=(R @ sol.u) / r, g=(R.T @ sol.v) / c, sigma=sigma, u=sol.u, v=sol.v)
+        axes.append(axis)
         solutions.append(sol)
-        R = R - np.outer(r * f, c * g) / sigma
+        R = _deflate(R, r, c, axis)
 
-    for mat in residuals:
-        mat.setflags(write=False)
     return Decomposition(
         method="TCA",
         axes=tuple(axes),
-        rank_used=len(axes),
         model=model,
         is_full_rank=exhausted or len(axes) == k_max,
-        residuals=tuple(residuals),
         solutions=tuple(solutions),
     )
 
 
-def cut_norm_bruteforce(R, max_dim: int = CUT_NORM_MAX_DIM) -> float:
+def cut_norm_bruteforce(R) -> float:
     """Cut norm of R: the largest |sum of R over S x T| over index subsets.
 
     Enumerates all subsets T of the smaller dimension; for fixed T the best S
@@ -294,9 +287,9 @@ def cut_norm_bruteforce(R, max_dim: int = CUT_NORM_MAX_DIM) -> float:
     """
     R = np.asarray(R, dtype=np.float64)
     I, J = R.shape
-    if min(I, J) > max_dim:
+    if min(I, J) > CUT_NORM_MAX_DIM:
         raise ValidationError(
-            f"cut norm enumeration limited to min(I, J) <= {max_dim}, got {min(I, J)}"
+            f"cut norm enumeration limited to min(I, J) <= {CUT_NORM_MAX_DIM}, got {min(I, J)}"
         )
     M = R if J <= I else R.T
     dim = M.shape[1]
@@ -318,7 +311,7 @@ def _subset_sums(values: np.ndarray) -> np.ndarray:
     return sums
 
 
-def diagonal_sigma1(p, max_len: int = DIAGONAL_MAX_LEN) -> float:
+def diagonal_sigma1(p) -> float:
     """First taxicab dispersion of a diagonal table with cell masses p.
 
     For a diagonal correspondence matrix the axis objective reduces to a
@@ -332,9 +325,9 @@ def diagonal_sigma1(p, max_len: int = DIAGONAL_MAX_LEN) -> float:
         raise ValidationError("masses must be strictly positive")
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise ValidationError(f"masses must sum to 1, got {float(p.sum()):.12g}")
-    if p.size > max_len:
+    if p.size > DIAGONAL_MAX_LEN:
         raise ValidationError(
-            f"subset enumeration limited to {max_len} masses, got {p.size}"
+            f"subset enumeration limited to {DIAGONAL_MAX_LEN} masses, got {p.size}"
         )
     half = p.size // 2
     sums_a = _subset_sums(p[:half])

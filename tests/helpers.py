@@ -35,7 +35,7 @@ def cli_env(threads: str) -> dict[str, str]:
 
 def load_table(name: str) -> ContingencyTable:
     table = parse_table((DATA_DIR / name).read_text(encoding="utf-8"))
-    table, _ = validate_table(table, policy="drop")
+    table, _ = validate_table(table)
     return table
 
 

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from taxica import NumericalError, parse_table
 from taxica.cli import _dumps, run_cli
 from taxica.entry import build_parser
 
-from helpers import DATA_DIR, cli_env
+from helpers import DATA_DIR, cli_env, load_table
 
 TOY = str(DATA_DIR / "toy_4x4.csv")
 TV = str(DATA_DIR / "tv_programs.csv")
@@ -493,10 +494,10 @@ def test_cli_env_passes_on_dont_write_bytecode(monkeypatch, value):
     assert proc.stdout.decode().strip() == str(value is not None)
 
 
-def run_taxica(*argv: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def run_taxica(*argv: str, stdout=subprocess.PIPE, env=None) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "taxica", *argv],
-        stdout=stdout, stderr=subprocess.PIPE, env=cli_env("1"),
+        stdout=stdout, stderr=subprocess.PIPE, env=env or cli_env("1"),
     )
 
 
@@ -519,7 +520,7 @@ def write_table(directory, rows: int, cols: int, seed: int) -> str:
 
 
 class TestProcessExit:
-    """The command flushes stdout and stderr, then ends with ``os._exit``."""
+    """The command writes and flushes its output, then ends with ``os._exit``."""
 
     def test_plot_stdout_matches_in_process_output(self, capsys):
         argv = ["plot", "--input", TV, "--method", "tca"]
@@ -545,12 +546,24 @@ class TestProcessExit:
         assert (proc.stdout, out_path.read_bytes()) == (b"", expected)
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-    def test_failed_flush_exits_120(self):
-        # The summary fits the stdout buffer, so only the flush at exit fails.
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("size", ["small", "large"])
+    def test_unwritable_stdout_exits_2(self, tmp_path, size, unbuffered):
+        # The summary fits the stdout buffer, so buffered it fails only on
+        # flush; the 80x48 tca payload is beyond 64 KB, so it fails in write.
+        if size == "small":
+            argv = ["summarize", "--input", TV]
+        else:
+            argv = ["tca", "--input", write_table(tmp_path, 80, 48, seed=48), "--format", "json"]
+        env = cli_env("1")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "wb") as full:
-            proc = run_taxica("summarize", "--input", TV, stdout=full)
-        assert proc.returncode == 120
-        assert "cannot flush <stdout>" in proc.stderr.decode(errors="replace")
+            proc = run_taxica(*argv, stdout=full, env=env)
+        stderr = proc.stderr.decode(errors="replace")
+        assert proc.returncode == 2, stderr
+        assert stderr.startswith("error: cannot write output to stdout: "), stderr
+        assert "Traceback" not in stderr
 
     @pytest.mark.parametrize(
         "text, code",
@@ -643,6 +656,30 @@ def test_cli_import_pulls_in_no_xml_or_network_modules():
     assert report["unwrappable"] == []
     banned = {"xml", "urllib", "http", "email", "ssl", "socket"}
     assert [name for name in added if name.split(".")[0] in banned] == []
+
+
+@pytest.mark.parametrize("command", ["tca", "verify"])
+def test_traced_entry_runs_the_command_and_counts_tca(tmp_path, command):
+    spans_path = tmp_path / "spans.json"
+    argv = [command, "--input", TV]
+    spawn_ns = time.clock_gettime_ns(time.CLOCK_MONOTONIC)
+    traced = subprocess.run(
+        [sys.executable, str(TRACED_ENTRY), str(spans_path), "7", str(spawn_ns), *argv],
+        capture_output=True, env=cli_env("1"),
+    )
+    assert traced.returncode == 0, traced.stderr.decode(errors="replace")
+    plain = run_taxica(*argv)
+    assert plain.returncode == 0, plain.stderr.decode(errors="replace")
+    assert traced.stdout == plain.stdout
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))
+    counters = [s["counters"] for s in spans if s["name"] == "tca.tca_decompose"]
+    decomp = taxica.tca_decompose(taxica.build_model(load_table("tv_programs.csv")))
+    expected = {
+        "axes": decomp.rank_used,
+        "residual_bytes": sum(r.nbytes for r in decomp.residuals),
+    }
+    assert expected == {"axes": 6, "residual_bytes": 6 * 13 * 7 * 8}
+    assert counters == [expected]
 
 
 def test_star_import_and_dir_list_every_export():

@@ -108,7 +108,7 @@ class TestExplainedVariation:
         model = build_model(make_table([[3, 1], [1, 3]]))
         (axis,) = tca_decompose(model).axes
         tiny = Axis(f=axis.f * 1e-300, g=axis.g * 1e-300, sigma=1e-300, u=axis.u, v=axis.v)
-        decomp = Decomposition(method="TCA", axes=(tiny,), rank_used=1, model=model)
+        decomp = Decomposition(method="TCA", axes=(tiny,), model=model)
         with pytest.raises(NumericalError, match="underflow"):
             explained_variation(decomp)
 
@@ -149,7 +149,6 @@ class TestVerify:
         corrupted = Decomposition(
             method="CA",
             axes=(bad_axis,),
-            rank_used=1,
             model=good.model,
             is_full_rank=True,
         )
@@ -157,6 +156,22 @@ class TestVerify:
         assert not report.passed
         failing = {c.name for c in report.checks if not c.passed}
         assert "reconstruction" in failing
+
+    def test_quadrant_balance_on_a_hand_built_decomposition(self, tv_tca):
+        # Flipping every axis keeps each quadrant sum; the residuals are
+        # replayed from the flipped axes, which deflate the same terms.
+        flipped = Decomposition(
+            method="TCA",
+            axes=tuple(
+                Axis(f=-a.f, g=-a.g, sigma=a.sigma, u=-a.u, v=-a.v) for a in tv_tca.axes
+            ),
+            model=tv_tca.model,
+            is_full_rank=tv_tca.is_full_rank,
+        )
+        report = verify(flipped)
+        quad = next(c for c in report.checks if c.name == "quadrant-balance")
+        assert quad.applicable and quad.passed
+        assert report.passed
 
     def test_truncated_decomposition_skips_reconstruction(self, tv_table):
         decomp = ca_decompose(build_model(tv_table), max_axes=2)
@@ -199,7 +214,6 @@ class TestMapSimilarity:
         flipped = Decomposition(
             method="TCA",
             axes=flipped_axes,
-            rank_used=tv_tca.rank_used,
             model=tv_tca.model,
             is_full_rank=tv_tca.is_full_rank,
         )

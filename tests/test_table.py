@@ -108,7 +108,7 @@ class TestSerializeRoundTrip:
 class TestValidate:
     def test_drop_zero_row(self):
         table = make_table([[1, 0], [0, 2], [0, 0]])
-        cleaned, warnings = validate_table(table, policy="drop")
+        cleaned, warnings = validate_table(table)
         assert cleaned.shape == (2, 2)
         assert len(warnings) == 1 and "row 'r3'" in warnings[0]
 
@@ -116,7 +116,7 @@ class TestValidate:
         table = make_table(
             [[0, 1, 0, 2], [0, 0, 0, 0], [0, 3, 0, 4], [0, 0, 0, 0]]
         )
-        cleaned, warnings = validate_table(table, policy="drop")
+        cleaned, warnings = validate_table(table)
         assert cleaned.row_labels == ("r1", "r3")
         assert cleaned.col_labels == ("c2", "c4")
         assert cleaned.counts.tolist() == [[1, 2], [3, 4]]
@@ -132,15 +132,6 @@ class TestValidate:
         cleaned, warnings = validate_table(table)
         assert cleaned is table
         assert warnings == []
-
-    def test_reject_policy(self):
-        table = make_table([[1, 0, 0], [0, 2, 0]])
-        with pytest.raises(ValidationError, match="column 'c3'"):
-            validate_table(table, policy="reject")
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            validate_table(make_table([[1.0]]), policy="purge")
 
     def test_construction_rejects_duplicates_and_negatives(self):
         with pytest.raises(ValidationError, match="duplicate row label"):

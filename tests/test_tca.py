@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,6 +277,41 @@ class TestTcaDecompose:
         assert len(tv_tca.residuals) == tv_tca.rank_used
         model = tv_tca.model
         assert_allclose(tv_tca.residuals[0], model.R0)
+
+    @pytest.mark.parametrize("shape", [(9, 8), (30, 24)], ids=["exact", "iterative"])
+    def test_residuals_replay_the_deflation(self, rodents_table, shape):
+        rng = np.random.default_rng(11)
+        counts = rng.poisson(2.0, shape) * (rng.random(shape) > 0.5) + np.eye(*shape)
+        model = build_model(rodents_table if shape == (9, 8) else make_table(counts))
+        decomp = tca_decompose(model)
+        r, c = model.r, model.c
+        R, expected = model.R0, []
+        for axis in decomp.axes:
+            expected.append(R)
+            R = R - (r * axis.f)[:, None] * (c * axis.g) / axis.sigma
+        assert len(decomp.residuals) == len(expected) == decomp.rank_used > 1
+        solve = tca_axis_exact if min(shape) <= EXACT_THRESHOLD else tca_axis_iterative
+        for axis, got, want in zip(decomp.axes, decomp.residuals, expected):
+            assert np.array_equal(got, want)
+            # each residual is the one its axis was solved on, bit for bit
+            sol = solve(got)
+            assert sol.objective == axis.sigma and np.array_equal(sol.u, axis.u)
+
+    def test_holds_no_residual_copies(self):
+        # 39 iterative axes of a 300x40 table: one I x J residual per axis
+        # would be 39 I J doubles; the axes and solutions take about 2.6.
+        rng = np.random.default_rng(3)
+        counts = rng.poisson(3.0, (300, 40)) * (rng.random((300, 40)) > 0.5) + 1.0
+        model = build_model(make_table(counts))
+        tracemalloc.start()
+        try:
+            decomp = tca_decompose(model)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert decomp.solutions[0].solver == "iterative"
+        assert decomp.rank_used == 39
+        assert held < 8 * 300 * 40 * 8
 
     def test_forced_iterative_agrees_on_toy(self, toy_minimal):
         exact = tca_decompose(build_model(toy_minimal))
