@@ -14,12 +14,12 @@ and distinct axes are Dr- / Dc-orthogonal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .record import Record
 from .table import CorrespondenceModel
 
 __all__ = ["Axis", "Decomposition", "pearson_residuals", "symmetric_eigen", "ca_decompose"]
@@ -32,23 +32,19 @@ RANK_CUTOFF = 1e-12
 EIGEN_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class Axis:
+class Axis(Record):
     """One principal axis: coordinates, dispersion and normed axis vectors.
 
     For CA, u = g/sigma and v = f/sigma are the standard coordinates; for
     TCA, u and v are the +-1 sign vectors the axis was built from.
     """
 
-    f: np.ndarray
-    g: np.ndarray
-    sigma: float
-    u: np.ndarray
-    v: np.ndarray
+    __slots__ = ("f", "g", "sigma", "u", "v")
 
-    def __post_init__(self) -> None:
-        for arr in (self.f, self.g, self.u, self.v):
+    def __init__(self, f: np.ndarray, g: np.ndarray, sigma: float, u: np.ndarray, v: np.ndarray):
+        for arr in (f, g, u, v):
             arr.setflags(write=False)
+        self._set(f, g, sigma, u, v)
 
 
 def _deflate(R: np.ndarray, r: np.ndarray, c: np.ndarray, axis: Axis) -> np.ndarray:
@@ -56,8 +52,7 @@ def _deflate(R: np.ndarray, r: np.ndarray, c: np.ndarray, axis: Axis) -> np.ndar
     return R - np.outer(r * axis.f, c * axis.g) / axis.sigma
 
 
-@dataclass(frozen=True, eq=False)
-class Decomposition:
+class Decomposition(Record):
     """Axes of a CA or TCA decomposition of one correspondence model.
 
     Axes appear in extraction order: nonincreasing dispersion for CA, and
@@ -69,11 +64,17 @@ class Decomposition:
     and ``residuals`` are derived from the axes on each read.
     """
 
-    method: str  # "CA" or "TCA"
-    axes: tuple[Axis, ...]
-    model: CorrespondenceModel
-    is_full_rank: bool = True
-    solutions: Optional[tuple] = None
+    __slots__ = ("method", "axes", "model", "is_full_rank", "solutions")
+
+    def __init__(
+        self,
+        method: str,  # "CA" or "TCA"
+        axes: tuple[Axis, ...],
+        model: CorrespondenceModel,
+        is_full_rank: bool = True,
+        solutions: Optional[tuple] = None,
+    ):
+        self._set(method, axes, model, is_full_rank, solutions)
 
     @property
     def rank_used(self) -> int:
@@ -107,6 +108,7 @@ def pearson_residuals(model: CorrespondenceModel) -> np.ndarray:
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Round-robin tournament on indices 0..n-1: n-1 rounds (n even) of n/2
     disjoint pairs (p, q) with p < q, covering every pair exactly once.
+    Each round is returned as its index arrays P and Q.
 
     Odd n is padded with a dummy index n whose pairs are dropped. Index 0
     stays put while the others rotate one place per round (the circle method
@@ -136,8 +138,9 @@ def symmetric_eigen(A) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric PSD matrix, sorted descending.
 
     Jacobi rotations in round-robin order, capped at 100 sweeps: each sweep
-    is n-1 rounds of disjoint (p, q) pairs, and each round is applied as one
-    vectorized step. Raises :class:`ValidationError` for non-square,
+    is n-1 rounds of disjoint (p, q) pairs. A round is one row rotation of
+    the n x 2n array [a | V'] (the rows of a and the columns of V together)
+    and one column rotation of a. Raises :class:`ValidationError` for non-square,
     non-finite or non-symmetric input (max |A - A'| > 1e-12 max |A|), and
     :class:`NumericalError` if the off-diagonal mass has not vanished after
     100 sweeps or if any eigenpair misses the residual contract
@@ -169,39 +172,41 @@ def symmetric_eigen(A) -> tuple[np.ndarray, np.ndarray]:
     if norm == 0.0:
         return np.zeros(n), V
 
-    rounds = _round_robin(n)
+    # B = [a | V'], so one row rotation turns the rows of a and the columns
+    # of V. Rows P and then Q of B take c x - s y with x the row itself and
+    # y its partner: coefficients [c; c] and [s; -s] over the index arrays
+    # [P; Q] and [Q; P]. Since (-s) y is exact and x - (-z) = x + z, the Q
+    # rows get s x_P + c x_Q bit for bit, as in a separate update.
+    B = np.hstack((a, V))
+    a = B[:, :n]
+    diag = a.diagonal()  # a read-only view that follows a
+    skip = 1e-18 * norm
+    rounds = [(P, Q, np.concatenate((P, Q)), np.concatenate((Q, P))) for P, Q in _round_robin(n)]
     sweeps = 0
     while not _off_norm(a) <= 1e-14 * norm:
         if sweeps == 100:
             raise NumericalError("Jacobi eigensolver did not converge within 100 sweeps")
         sweeps += 1
-        for P, Q in rounds:
+        for P, Q, PQ, QP in rounds:
             apq = a[P, Q]
-            rotate = np.abs(apq) > 1e-18 * norm
-            if not rotate.all():
+            rotate = np.abs(apq) > skip
+            if np.count_nonzero(rotate) < rotate.size:
                 P, Q, apq = P[rotate], Q[rotate], apq[rotate]
                 if P.size == 0:
                     continue
-            theta = (a[Q, Q] - a[P, P]) / (2.0 * apq)
-            t = np.where(theta != 0, np.sign(theta), 1.0)
-            t = t / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
-            cth = 1.0 / np.sqrt(1.0 + t * t)
-            sth = t * cth
-            c, s = cth[:, None], sth[:, None]
-            rp, rq = a[P, :], a[Q, :]
-            a[P, :] = c * rp - s * rq
-            a[Q, :] = s * rp + c * rq
-            cp, cq = a[:, P], a[:, Q]
-            a[:, P] = cth * cp - sth * cq
-            a[:, Q] = sth * cp + cth * cq
-            vp, vq = V[:, P], V[:, Q]
-            V[:, P] = cth * vp - sth * vq
-            V[:, Q] = sth * vp + cth * vq
+                PQ, QP = np.concatenate((P, Q)), np.concatenate((Q, P))
+            theta = (diag[Q] - diag[P]) / (2.0 * apq)
+            t = np.where(theta < 0, -1.0, 1.0) / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
+            t = np.concatenate((t, -t))  # (-t)^2 = t^2 and (-t) c = -(t c) exactly
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            B[PQ] = c[:, None] * B[PQ] - s[:, None] * B[QP]
+            a[:, PQ] = c * a[:, PQ] - s * a[:, QP]
 
     lam = np.diag(a).copy()
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
-    V = V[:, order]
+    V = B[order, n:].T
 
     if lam[-1] < -EIGEN_TOL * norm:
         raise NumericalError(f"matrix is not PSD: eigenvalue {lam[-1]:.3e}")

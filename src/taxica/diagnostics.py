@@ -11,12 +11,12 @@ its axis influence at |SC| = 500.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ca import Decomposition, _deflate
 from .errors import NumericalError, ValidationError
+from .record import Record, ValueRecord
 
 __all__ = [
     "ContributionTable",
@@ -34,42 +34,46 @@ __all__ = [
 MAX_MATCHED_AXES = 9
 
 
-@dataclass(frozen=True, eq=False)
-class ContributionTable:
+class ContributionTable(Record):
     """Per-1000 contributions; rows of each array follow the table's labels,
     columns follow the decomposition's axes."""
 
-    method: str
-    row_values: np.ndarray  # I x k
-    col_values: np.ndarray  # J x k
+    __slots__ = ("method", "row_values", "col_values")
 
-    def __post_init__(self) -> None:
-        self.row_values.setflags(write=False)
-        self.col_values.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    max_residual: float
-    tolerance: float
-    passed: bool
-    applicable: bool = True
-    note: str = ""
+    def __init__(self, method: str, row_values: np.ndarray, col_values: np.ndarray):
+        # row_values: I x k, col_values: J x k
+        row_values.setflags(write=False)
+        col_values.setflags(write=False)
+        self._set(method, row_values, col_values)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    method: str
-    checks: tuple[CheckResult, ...]
+class CheckResult(ValueRecord):
+    __slots__ = ("name", "max_residual", "tolerance", "passed", "applicable", "note")
+
+    def __init__(
+        self,
+        name: str,
+        max_residual: float,
+        tolerance: float,
+        passed: bool,
+        applicable: bool = True,
+        note: str = "",
+    ):
+        self._set(name, max_residual, tolerance, passed, applicable, note)
+
+
+class VerificationReport(ValueRecord):
+    __slots__ = ("method", "checks")
+
+    def __init__(self, method: str, checks: tuple[CheckResult, ...]):
+        self._set(method, checks)
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks if c.applicable)
 
 
-@dataclass(frozen=True)
-class SimilarityReport:
+class SimilarityReport(ValueRecord):
     """Axis-by-axis congruence between two decompositions of one table.
 
     ``phis[a]`` is the absolute weighted cosine between row coordinates of
@@ -78,10 +82,16 @@ class SimilarityReport:
     is insensitive to per-axis sign flips by construction.
     """
 
-    phis: tuple[float, ...]
-    pairing: tuple[int, ...]
-    verdict: str  # "similar", "partial" or "dissimilar"
-    threshold: float
+    __slots__ = ("phis", "pairing", "verdict", "threshold")
+
+    def __init__(
+        self,
+        phis: tuple[float, ...],
+        pairing: tuple[int, ...],
+        verdict: str,  # "similar", "partial" or "dissimilar"
+        threshold: float,
+    ):
+        self._set(phis, pairing, verdict, threshold)
 
 
 def _require_axes(decomp: Decomposition) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 
 __all__ = ["build_parser", "main"]
 
@@ -64,12 +65,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main() -> None:
     """Run one subcommand on ``sys.argv`` and end the process.
 
-    The subcommand has written and flushed its output, and stderr is line
-    buffered, so the process ends with ``os._exit``, which skips the
-    interpreter's teardown (atexit hooks, module and heap cleanup) that a
-    CLI call does not need.
+    Every call ends with ``os._exit``, which skips the interpreter's
+    teardown (atexit hooks, module and heap cleanup) that a CLI call does
+    not need. A subcommand has written and flushed its output, and stderr is
+    line buffered. ``--help`` (exit 0) and usage errors (exit 2) leave
+    argparse by ``SystemExit``, so their output is flushed here first; help
+    whose flush fails exits 2, as a subcommand's output does.
     """
-    args = build_parser().parse_args()  # --help and usage errors exit here
+    try:
+        args = build_parser().parse_args()
+    except SystemExit as stop:
+        code = stop.code
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"error: cannot write output to stdout: {exc}", file=sys.stderr)
+            code = 2
+        sys.stderr.flush()
+        os._exit(code)
     from .cli import run_args
 
     os._exit(run_args(args))

@@ -9,11 +9,10 @@ characterizes the whole equivalence class.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .record import Record, ValueRecord
 from .table import ContingencyTable
 
 __all__ = ["MergeStep", "ReductionTrace", "proportional", "reduce_to_minimal", "apply_grouping"]
@@ -22,17 +21,17 @@ __all__ = ["MergeStep", "ReductionTrace", "proportional", "reduce_to_minimal", "
 PROPORTIONAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MergeStep:
+class MergeStep(ValueRecord):
     """One merge of proportional lines; indices refer to the original table."""
 
-    axis: str  # "row" or "col"
-    merged_indices: tuple[int, ...]
-    new_label: str
+    __slots__ = ("axis", "merged_indices", "new_label")
+
+    def __init__(self, axis: str, merged_indices: tuple[int, ...], new_label: str):
+        # axis: "row" or "col"
+        self._set(axis, merged_indices, new_label)
 
 
-@dataclass(frozen=True, eq=False)
-class ReductionTrace:
+class ReductionTrace(Record):
     """Full provenance of a reduction.
 
     ``row_groups`` and ``col_groups`` partition the original row and column
@@ -40,11 +39,17 @@ class ReductionTrace:
     over ``row_groups[i] x col_groups[j]``.
     """
 
-    original: ContingencyTable
-    minimal: ContingencyTable
-    steps: tuple[MergeStep, ...]
-    row_groups: tuple[tuple[int, ...], ...]
-    col_groups: tuple[tuple[int, ...], ...]
+    __slots__ = ("original", "minimal", "steps", "row_groups", "col_groups")
+
+    def __init__(
+        self,
+        original: ContingencyTable,
+        minimal: ContingencyTable,
+        steps: tuple[MergeStep, ...],
+        row_groups: tuple[tuple[int, ...], ...],
+        col_groups: tuple[tuple[int, ...], ...],
+    ):
+        self._set(original, minimal, steps, row_groups, col_groups)
 
     @property
     def is_already_minimal(self) -> bool:

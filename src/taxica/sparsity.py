@@ -9,11 +9,11 @@ already absorbed duplicated profiles.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
+from .record import ValueRecord
 from .table import ContingencyTable
 
 __all__ = [
@@ -34,14 +34,14 @@ class SparsityLevel(enum.Enum):
     SPARSEST = "sparsest"
 
 
-@dataclass(frozen=True)
-class SparsityClass:
-    level: SparsityLevel
-    rationale: str
+class SparsityClass(ValueRecord):
+    __slots__ = ("level", "rationale")
+
+    def __init__(self, level: SparsityLevel, rationale: str):
+        self._set(level, rationale)
 
 
-@dataclass(frozen=True)
-class SparsitySummary:
+class SparsitySummary(ValueRecord):
     """7-number sparsity summary of one table.
 
     ``mh1`` is the (min, Q1, median, Q3, max) summary of the positive counts;
@@ -49,11 +49,17 @@ class SparsitySummary:
     can attain, 100 * (1 - 1/min(I, J)).
     """
 
-    ave: float
-    pct_zero: float
-    mh1: tuple[float, float, float, float, float]
-    bound: float
-    size: tuple[int, int]
+    __slots__ = ("ave", "pct_zero", "mh1", "bound", "size")
+
+    def __init__(
+        self,
+        ave: float,
+        pct_zero: float,
+        mh1: tuple[float, float, float, float, float],
+        bound: float,
+        size: tuple[int, int],
+    ):
+        self._set(ave, pct_zero, mh1, bound, size)
 
 
 def _value_at_depth(sorted_batch: np.ndarray, depth: float) -> float:

@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalError, ParseError, ValidationError
+from .record import Record
 
 __all__ = [
     "ContingencyTable",
@@ -26,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ContingencyTable:
+class ContingencyTable(Record):
     """Labeled nonnegative count matrix.
 
     Attributes:
@@ -38,17 +37,14 @@ class ContingencyTable:
             that overflows float64 raises :class:`NumericalError`).
     """
 
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    counts: np.ndarray
-    n: float = field(init=False)
+    __slots__ = ("row_labels", "col_labels", "counts", "n")
 
-    def __post_init__(self) -> None:
-        counts = np.array(self.counts, dtype=np.float64, copy=True)
+    def __init__(self, row_labels: tuple[str, ...], col_labels: tuple[str, ...], counts: np.ndarray):
+        counts = np.array(counts, dtype=np.float64, copy=True)
         if counts.ndim != 2:
             raise ValidationError("counts must be a 2-D matrix")
-        row_labels = tuple(str(x) for x in self.row_labels)
-        col_labels = tuple(str(x) for x in self.col_labels)
+        row_labels = tuple(str(x) for x in row_labels)
+        col_labels = tuple(str(x) for x in col_labels)
         if counts.shape != (len(row_labels), len(col_labels)):
             raise ValidationError(
                 f"counts shape {counts.shape} does not match "
@@ -79,10 +75,7 @@ class ContingencyTable:
         if total <= 0.0:
             raise ValidationError("table total is zero (n = 0)")
         counts.setflags(write=False)
-        object.__setattr__(self, "row_labels", row_labels)
-        object.__setattr__(self, "col_labels", col_labels)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "n", total)
+        self._set(row_labels, col_labels, counts, total)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -96,8 +89,7 @@ class ContingencyTable:
         return f"ContingencyTable({i}x{j}, n={self.n:g})"
 
 
-@dataclass(frozen=True, eq=False)
-class CorrespondenceModel:
+class CorrespondenceModel(Record):
     """Probability matrix, margins and independence residuals of one table.
 
     Invariants (all enforced at construction):
@@ -106,15 +98,14 @@ class CorrespondenceModel:
         * every row sum and column sum of R0 is 0 up to 1e-12.
     """
 
-    table: ContingencyTable
-    P: np.ndarray
-    r: np.ndarray
-    c: np.ndarray
-    R0: np.ndarray
+    __slots__ = ("table", "P", "r", "c", "R0")
 
-    def __post_init__(self) -> None:
-        for arr in (self.P, self.r, self.c, self.R0):
+    def __init__(
+        self, table: ContingencyTable, P: np.ndarray, r: np.ndarray, c: np.ndarray, R0: np.ndarray
+    ):
+        for arr in (P, r, c, R0):
             arr.setflags(write=False)
+        self._set(table, P, r, c, R0)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -14,13 +14,13 @@ positive and negative halves each carry exactly sigma/2 (equivariability).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .ca import RANK_CUTOFF, Axis, Decomposition, _deflate, axes_requested
 from .errors import ValidationError
+from .record import Record
 from .table import CorrespondenceModel
 
 __all__ = [
@@ -47,14 +47,15 @@ DIAGONAL_MAX_LEN = 25
 _ENUM_CHUNK_BITS = 11
 _ENUM_CHUNK = 1 << _ENUM_CHUNK_BITS
 
+_EPS = float(np.finfo(np.float64).eps)
+
 
 def sign_vector(x: np.ndarray) -> np.ndarray:
     """Componentwise sign with the deterministic tie rule sign(0) = +1."""
     return np.where(np.asarray(x) < 0, -1.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class TcaAxisSolution:
+class TcaAxisSolution(Record):
     """One solved taxicab axis.
 
     ``objective`` is ||R u||_1, the axis dispersion. ``v`` is sign(R u) with
@@ -62,16 +63,20 @@ class TcaAxisSolution:
     exact solver and restarts for the iterative one.
     """
 
-    u: np.ndarray
-    v: np.ndarray
-    objective: float
-    solver: str  # "exact" or "iterative"
-    starts_tried: int
-    converged: bool
+    __slots__ = ("u", "v", "objective", "solver", "starts_tried", "converged")
 
-    def __post_init__(self) -> None:
-        self.u.setflags(write=False)
-        self.v.setflags(write=False)
+    def __init__(
+        self,
+        u: np.ndarray,
+        v: np.ndarray,
+        objective: float,
+        solver: str,  # "exact" or "iterative"
+        starts_tried: int,
+        converged: bool,
+    ):
+        u.setflags(write=False)
+        v.setflags(write=False)
+        self._set(u, v, objective, solver, starts_tried, converged)
 
 
 def _enumerate_best(R: np.ndarray) -> tuple[float, np.ndarray, int]:
@@ -149,9 +154,8 @@ def _lex_less(u: np.ndarray, w: np.ndarray) -> bool:
     return diff.size > 0 and u[diff[0]] > 0
 
 
-def _signed_products(X: np.ndarray, M: np.ndarray, tol: np.ndarray):
-    """Signs of the rows x of X @ M, each equal to ``sign_vector(M.T @ x)``,
-    and the mask of their -1 entries.
+def _guarded_product(X: np.ndarray, M: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """X @ M whose rows x have the signs of the per-vector ``M.T @ x``.
 
     A gemm entry can differ from the matching gemv entry in the last bits,
     which flips a sign only where the exact value is zero up to rounding.
@@ -159,10 +163,56 @@ def _signed_products(X: np.ndarray, M: np.ndarray, tol: np.ndarray):
     on a contiguous copy of x, so every row is the per-vector result.
     """
     Y = X @ M
-    for a in np.flatnonzero((np.abs(Y) <= tol).any(axis=1)):
-        Y[a] = M.T @ X[a].copy()
-    negative = Y < 0
-    return np.where(negative, -1.0, 1.0), negative
+    near = np.abs(Y) <= tol
+    if np.count_nonzero(near):
+        for a in near.any(axis=1).nonzero()[0]:
+            Y[a] = M.T @ X[a].copy()
+    return Y
+
+
+def _rescore_margin(I: int, J: int, abs_total: float) -> float:
+    """How far below the best one-product objective of an I x J matrix R
+    with sum|R| = ``abs_total`` an end point may score and still be the
+    per-vector winner: 2 (I + J + 5) eps sum|R|.
+
+    Each entry of R u over a +-1 vector u lies within gamma_J a_i of its
+    exact value in any summation order (a_i = sum_k |R_ik|), and summing the
+    I absolute values adds a relative gamma_(I-1), so both the one-product
+    and the per-vector objective lie within delta = (I + J + 4) eps/2 sum|R|
+    of ||R u||_1 (gamma_n < (n + 2) eps / 2, and ||R u||_1 <= sum|R|). The
+    per-vector winner therefore scores at least the best one-product value
+    less 4 delta; the remaining 2 eps sum|R| cover the rounding of that
+    subtraction and of sum|R| itself.
+    """
+    return 2.0 * (I + J + 5) * _EPS * abs_total
+
+
+def _best_end_point(R: np.ndarray, U: np.ndarray, abs_total: float) -> tuple[float, np.ndarray]:
+    """Best +-1 row u of U: the largest ``float(np.abs(R @ u).sum())``, ties
+    going to the lexicographically smallest u.
+
+    All rows are scored in one product, as the row sums of |U R'|. Only the
+    rows within ``_rescore_margin`` of the best of those are scored again
+    with the per-vector expression, each distinct u once, so the winner and
+    its objective are those of scoring every row alone.
+    """
+    approx = np.abs(U @ R.T).sum(axis=1)
+    near = (approx >= approx.max() - _rescore_margin(*R.shape, abs_total)).nonzero()[0]
+    best_obj, best_u = None, None
+    scored: set[bytes] = set()
+    for i in near:
+        if U[i].tobytes() in scored:
+            continue  # an equal u scores equal and never displaces the best
+        scored.add(U[i].tobytes())
+        u = U[i].copy()
+        objective = float(np.abs(R @ u).sum())
+        if (
+            best_u is None
+            or objective > best_obj
+            or (objective == best_obj and _lex_less(u, best_u))
+        ):
+            best_obj, best_u = objective, u
+    return best_obj, best_u
 
 
 def tca_axis_iterative(R) -> TcaAxisSolution:
@@ -172,8 +222,9 @@ def tca_axis_iterative(R) -> TcaAxisSolution:
     v = sign(R u); the objective never decreases and the state space is
     finite, so every start stops at its first (u, v) state that repeats any
     earlier one, keeping that u. The best fixed point over all J starts is
-    returned, ties going to the lexicographically smallest u. The result is
-    a lower bound for the exact objective.
+    returned, ties going to the lexicographically smallest u (see
+    ``_best_end_point``). The result is a lower bound for the exact
+    objective.
 
     All starts advance in lockstep, one gemm per half-step, and a start
     leaves the batch once it stops. Each entry of M x over a +-1 vector x
@@ -182,46 +233,44 @@ def tca_axis_iterative(R) -> TcaAxisSolution:
     orders can disagree on its sign only where both are within twice that
     of zero. A start with an entry within 2 (n + 2) eps sum_k |M_ik| of zero
     is recomputed with the per-start gemv, so results are bit-identical to
-    running each start alone, whatever order the BLAS sums in.
+    running each start alone, whatever order the BLAS sums in. So v is a
+    function of u, and a state repeats exactly when its u does: each start
+    keeps only its u, packed into 64-bit words, and is tested for a repeat
+    right after the u half-step, so a start that stops skips the v product.
     """
     R = np.asarray(R, dtype=np.float64)
     I, J = R.shape
-    eps = np.finfo(np.float64).eps
     abs_R = np.abs(R)
-    tol_u = 2.0 * (I + 2) * eps * abs_R.sum(axis=0)
-    tol_v = 2.0 * (J + 2) * eps * abs_R.sum(axis=1)
+    col_abs = abs_R.sum(axis=0)
+    tol_u = 2.0 * (I + 2) * _EPS * col_abs
+    tol_v = 2.0 * (J + 2) * _EPS * abs_R.sum(axis=1)
+    words = (J + 63) // 64
+    key = np.uint64 if words == 1 else np.dtype((np.void, 8 * words))
+    negative = np.zeros((J, 64 * words), dtype=np.bool_)  # u < 0, padded to whole words
+    history = np.empty((16, J), dtype=key)  # history[t, a]: packed u of active start a at step t
     V = sign_vector(R.T)  # row j: the seed v of start j
-    active = np.arange(J)
-    # (u < 0, v < 0) of every start after every step, packed 8 signs a byte
-    history = np.empty((8, J, (J + I + 7) // 8), dtype=np.uint8)
-    final_neg = np.empty((J, J), dtype=np.bool_)  # u < 0 where each start stopped
+    ends = []  # u of the starts that stopped, in batches
     step = 0
-    while active.size:
-        U, u_neg = _signed_products(V, R, tol_u)  # u = sign(R' v)
-        V, v_neg = _signed_products(U, R.T, tol_v)  # v = sign(R u)
-        state = np.packbits(np.concatenate((u_neg, v_neg), axis=1), axis=1)
+    while True:
+        n = V.shape[0]
+        u_neg = np.less(_guarded_product(V, R, tol_u), 0.0, out=negative[:n, :J])
+        U = np.where(u_neg, -1.0, 1.0)  # u = sign(R' v)
+        keys = np.packbits(negative[:n], axis=1).view(key)[:, 0]
+        done = np.logical_or.reduce(history[:step] == keys)
         if step == history.shape[0]:
             history = np.concatenate((history, np.empty_like(history)))
-        done = (history[:step, active] == state).all(axis=2).any(axis=0)
-        history[step, active] = state
-        final_neg[active[done]] = u_neg[done]
-        active, V = active[~done], V[~done]
+        history[step] = keys
         step += 1
+        stopped = np.count_nonzero(done)
+        if stopped:
+            ends.append(U.compress(done, axis=0))
+            if stopped == n:
+                break
+            keep = ~done
+            U, history = U.compress(keep, axis=0), history.compress(keep, axis=1)
+        V = np.where(_guarded_product(U, R.T, tol_v) < 0, -1.0, 1.0)  # v = sign(R u)
 
-    best_obj, best_u = None, None
-    scored: set[bytes] = set()
-    for neg in final_neg:
-        if neg.tobytes() in scored:
-            continue  # an equal u scores equal and never displaces the best
-        scored.add(neg.tobytes())
-        u = np.where(neg, -1.0, 1.0)
-        objective = float(np.abs(R @ u).sum())
-        if (
-            best_u is None
-            or objective > best_obj
-            or (objective == best_obj and _lex_less(u, best_u))
-        ):
-            best_obj, best_u = objective, u
+    best_obj, best_u = _best_end_point(R, np.concatenate(ends), float(col_abs.sum()))
     v = sign_vector(R @ best_u)
     return TcaAxisSolution(
         u=best_u, v=v, objective=best_obj, solver="iterative", starts_tried=J, converged=True

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from taxica import (
@@ -11,6 +13,7 @@ from taxica import (
     symmetric_eigen,
     verify,
 )
+from taxica.ca import _off_norm, _round_robin
 
 from helpers import make_table, max_abs_diff_up_to_sign
 
@@ -231,3 +234,98 @@ class TestCaDecompose:
         report = verify(decomp)
         transition = next(c for c in report.checks if c.name == "transition")
         assert transition.passed, transition.max_residual
+
+
+def _jacobi_oracle(A):
+    """``symmetric_eigen``'s sweeps with each round's row, column and V
+    updates applied one after the other. Returns (lam, V, masked, empty):
+    the pairs skipped as already zero and the rounds left with no pair."""
+    a = 0.5 * (A + A.T)
+    n = a.shape[0]
+    V = np.eye(n)
+    norm = float(np.linalg.norm(a))
+    masked = empty = 0
+    if norm == 0.0:
+        return np.zeros(n), V, masked, empty
+    rounds = _round_robin(n)
+    for _ in range(100):
+        if _off_norm(a) <= 1e-14 * norm:
+            break
+        for P, Q in rounds:
+            apq = a[P, Q]
+            rotate = np.abs(apq) > 1e-18 * norm
+            masked += int(np.count_nonzero(~rotate))
+            P, Q, apq = P[rotate], Q[rotate], apq[rotate]
+            if P.size == 0:
+                empty += 1
+                continue
+            theta = (a[Q, Q] - a[P, P]) / (2.0 * apq)
+            t = np.where(theta != 0, np.sign(theta), 1.0)
+            t = t / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
+            cth = 1.0 / np.sqrt(1.0 + t * t)
+            sth = t * cth
+            c, s = cth[:, None], sth[:, None]
+            rp, rq = a[P, :], a[Q, :]
+            a[P, :] = c * rp - s * rq
+            a[Q, :] = s * rp + c * rq
+            cp, cq = a[:, P], a[:, Q]
+            a[:, P] = cth * cp - sth * cq
+            a[:, Q] = sth * cp + cth * cq
+            vp, vq = V[:, P], V[:, Q]
+            V[:, P] = cth * vp - sth * vq
+            V[:, Q] = sth * vp + cth * vq
+    lam = np.diag(a).copy()
+    order = np.argsort(-lam, kind="stable")
+    return np.clip(lam[order], 0.0, None), V[:, order], masked, empty
+
+
+def _gram_case(kind: str, n: int, seed: int) -> np.ndarray:
+    """Gram matrix of order n of a seeded table: the CA cross product S'S of
+    a random table, or T'T of a table T with proportional columns (rank
+    deficient) or of a block-diagonal one (whole rounds already zero)."""
+    rng = np.random.default_rng(seed)
+    rows = n + int(rng.integers(1, 6))
+    T = rng.poisson(rng.uniform(0.5, 6.0), (rows, n)).astype(float)
+    T[:, 0] += 1.0
+    T[0, :] += 1.0
+    if kind == "random":
+        S = pearson_residuals(build_model(make_table(T)))
+        return S.T @ S
+    if kind == "proportional":
+        for j in range(1, n):
+            if rng.random() < 0.5:
+                T[:, j] = T[:, int(rng.integers(j))] * int(rng.integers(1, 4))
+    else:
+        block = rng.integers(0, max(1, n // 2), n)  # block of each column
+        T *= rng.integers(0, max(1, n // 2), rows)[:, None] == block
+    return T.T @ T
+
+
+def _assert_bit_equal(got, want):
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestJacobiOracle:
+    """One row rotation of [a | V'] per round against the separate updates."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10])
+    @pytest.mark.parametrize("kind", ["random", "proportional", "block"])
+    def test_matches_separate_updates(self, kind, n, seed):
+        A = _gram_case(kind, n, seed)
+        lam, V = symmetric_eigen(A)
+        lam_ref, V_ref, _, _ = _jacobi_oracle(A)
+        _assert_bit_equal(lam, lam_ref)
+        _assert_bit_equal(V, V_ref)
+
+    def test_cases_mask_pairs_and_empty_rounds(self):
+        # the proportional and block cases reach the masked-pair branch, and
+        # the block case also whole rounds with nothing to rotate
+        stats = {
+            kind: np.sum([_jacobi_oracle(_gram_case(kind, 10, seed))[2:] for seed in range(5)], axis=0)
+            for kind in ("proportional", "block")
+        }
+        assert stats["proportional"][0] > 0
+        assert stats["block"][0] > 0 and stats["block"][1] > 0

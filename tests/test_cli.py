@@ -565,6 +565,31 @@ class TestProcessExit:
         assert stderr.startswith("error: cannot write output to stdout: "), stderr
         assert "Traceback" not in stderr
 
+    @staticmethod
+    def parser_and_env(monkeypatch, command):
+        """The parser of ``command`` (None: the top level) and a child
+        environment, both wrapping help at 80 columns."""
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = build_parser()
+        if command is not None:
+            (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            parser = subparsers.choices[command]
+        return parser, {**cli_env("1"), "COLUMNS": "80"}
+
+    @pytest.mark.parametrize("command", [None, "ca"])
+    def test_help_is_flushed_before_the_exit(self, monkeypatch, command):
+        parser, env = self.parser_and_env(monkeypatch, command)
+        proc = run_taxica(*filter(None, [command, "--help"]), env=env)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert (proc.stdout.decode(), proc.stderr) == (parser.format_help(), b"")
+
+    def test_usage_error_exits_2_with_the_usage_on_stderr(self, monkeypatch):
+        parser, env = self.parser_and_env(monkeypatch, "ca")
+        proc = run_taxica("ca", "--input", TV, "--axes", "x", env=env)
+        expected = parser.format_usage() + "taxica ca: error: argument --axes: invalid int value: 'x'\n"
+        assert proc.returncode == 2
+        assert (proc.stdout, proc.stderr.decode()) == (b"", expected)
+
     @pytest.mark.parametrize(
         "text, code",
         [
@@ -654,7 +679,7 @@ def test_cli_import_pulls_in_no_xml_or_network_modules():
     added = report["added"]
     assert {"taxica.cli", "taxica.ca", "taxica.tca", "numpy"} <= set(added)
     assert report["unwrappable"] == []
-    banned = {"xml", "urllib", "http", "email", "ssl", "socket"}
+    banned = {"xml", "urllib", "http", "email", "ssl", "socket", "dataclasses"}
     assert [name for name in added if name.split(".")[0] in banned] == []
 
 

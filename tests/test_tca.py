@@ -17,7 +17,7 @@ from taxica import (
     verify,
 )
 
-from taxica.tca import EXACT_THRESHOLD, _enumerate_best, _lex_less, sign_vector
+from taxica.tca import EXACT_THRESHOLD, _enumerate_best, _lex_less, _rescore_margin, sign_vector
 
 from helpers import make_table, random_tables
 
@@ -122,10 +122,10 @@ class TestEnumerateBest:
         assert w.tolist() == plus.tolist()
 
 
-def _ascent_oracle(R):
+def _ascent_end_points(R):
     """One start at a time: seed v = sign(R e_j), alternate gemv half-steps
-    until a (u, v) state repeats, keep the best u (ties: lex first)."""
-    best_obj, best_u = None, None
+    until a (u, v) state repeats. Returns (objective, u) of every start."""
+    ends = []
     for j in range(R.shape[1]):
         v = sign_vector(R[:, j])
         seen = set()
@@ -136,7 +136,14 @@ def _ascent_oracle(R):
             if state in seen:
                 break
             seen.add(state)
-        objective = float(np.abs(R @ u).sum())
+        ends.append((float(np.abs(R @ u).sum()), u))
+    return ends
+
+
+def _ascent_oracle(R):
+    """The best end point of the per-start ascent (ties: lex first u)."""
+    best_obj, best_u = None, None
+    for objective, u in _ascent_end_points(R):
         if (
             best_u is None
             or objective > best_obj
@@ -213,6 +220,73 @@ class TestAscentOracle:
         R = rng.integers(-2, 3, (30, 23)).astype(np.float64)
         for M in (R, R.T, np.zeros((22, 25)), np.asfortranarray(R)):
             _assert_matches_ascent_oracle(M)
+
+    @pytest.mark.parametrize("case", ["counts", "ternary"])
+    def test_exactly_tied_end_points(self, case):
+        # Tables with duplicated columns. Negating u negates every term of
+        # R u, so u and -u score exactly alike (the counts case); with entries
+        # -1, 0, 1 the objectives are integers, and unrelated end points tie
+        # as well (the ternary case). The re-score and the lexicographic rule
+        # pick among them.
+        rng = np.random.default_rng(0 if case == "counts" else 3)
+        if case == "counts":
+            counts = rng.poisson(0.8, (24, 22)) * (rng.random((24, 22)) > 0.8)
+            counts[:, 0] += 1
+            counts[0, :] += 1
+            R = build_model(make_table(np.hstack([counts, counts[:, rng.integers(0, 22, 4)]]))).R0
+        else:
+            base = rng.integers(-1, 2, (25, 14)).astype(np.float64)
+            R = np.hstack([base, base[:, rng.integers(0, 14, 8)]])
+        ends = _ascent_end_points(R)
+        best = max(objective for objective, _ in ends)
+        tied = {u.tobytes(): u for objective, u in ends if objective == best}
+        assert len(tied) >= 2
+        negated = all(any((u == -w).all() for w in tied.values()) for u in tied.values())
+        assert negated == (case == "counts")
+        _assert_matches_ascent_oracle(R)
+
+    @pytest.mark.parametrize("case", [(70, 72), (40, 130), "block"])
+    def test_u_keys_of_several_words(self, case):
+        # J > 64, so each u takes two or three 64-bit words. In the block
+        # case the first 64 columns (a rank-one block) settle at the first
+        # step while the last 32 still move, so a key that lost its second
+        # word would stop every start early.
+        if case == "block":
+            rng = np.random.default_rng(1)
+            R = np.zeros((60, 96))
+            R[:20, :64] = np.outer(rng.normal(size=20), rng.normal(size=64))
+            R[20:, 64:] = rng.normal(size=(40, 32))
+        else:
+            rng = np.random.default_rng(case[1])
+            counts = rng.poisson(0.7, case) * (rng.random(case) > 0.85)
+            counts[:, 0] += 1
+            counts[0, :] += 1
+            R = build_model(make_table(counts)).R0
+        _assert_matches_ascent_oracle(R)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 60),
+        cols=st.integers(1, 60),
+        spread=st.integers(0, 12),
+    )
+    def test_one_product_objectives_within_the_margin(self, seed, rows, cols, spread):
+        # Entries spanning 10^spread in magnitude with centred lines, so R u
+        # cancels; every end point and as many random sign vectors are scored
+        # by the one product and one at a time. Each value lies within delta
+        # of the exact norm, so the two differ by at most 2 delta, which is
+        # less than half the re-score margin.
+        rng = np.random.default_rng(seed)
+        R = rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-spread, 0, (rows, cols))
+        R -= R.mean(axis=0)
+        R -= R.mean(axis=1, keepdims=True)
+        ends = np.array([u for _, u in _ascent_end_points(R)])
+        U = np.vstack([ends, np.where(rng.random(ends.shape) < 0.5, -1.0, 1.0)])
+        one_product = np.abs(U @ R.T).sum(axis=1)
+        per_vector = np.array([float(np.abs(R @ u.copy()).sum()) for u in U])
+        half_margin = _rescore_margin(rows, cols, float(np.abs(R).sum())) / 2
+        assert np.all(np.abs(one_product - per_vector) <= half_margin)
 
 
 class TestAxisIterative:
