@@ -226,20 +226,14 @@ def _orient(g: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, f
 
 
-def axes_requested(
-    max_axes: Optional[int], I: int, J: int, label: Optional[str] = None
-) -> int:
+def axes_requested(max_axes: Optional[int], I: int, J: int) -> int:
     """Number of axes to extract from an I x J table: ``max_axes``, checked
-    against 1..min(I, J) - 1, or that maximal rank when it is None. An
-    out-of-range value is named by ``label`` in the error, by default
-    ``max_axes=<value>``."""
+    against 1..min(I, J) - 1, or that maximal rank when it is None."""
     k_max = min(I, J) - 1
     if max_axes is None:
         return k_max
     if not 1 <= max_axes <= k_max:
-        raise ValidationError(
-            f"{label or f'max_axes={max_axes}'} out of range 1..{k_max} for a {I}x{J} table"
-        )
+        raise ValidationError(f"max_axes={max_axes} out of range 1..{k_max} for a {I}x{J} table")
     return max_axes
 
 
@@ -261,19 +255,19 @@ def ca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) -> 
     k_max = min(I, J) - 1
     k = axes_requested(max_axes, I, J)
 
-    S = pearson_residuals(model)
-    r, c, P = model.r, model.c, model.P
+    # Rows and columns play symmetric roles: a table with more columns than
+    # rows is solved as its transpose, whose f and g are this table's g and f.
+    transposed = J > I
+    S, P, r, c = pearson_residuals(model), model.P, model.r, model.c
+    if transposed:
+        S, P, r, c = S.T, P.T, c, r
 
-    if J <= I:
-        lam, X = symmetric_eigen(S.T @ S)
-        trivial = np.sqrt(c)
-    else:
-        lam, X = symmetric_eigen(S @ S.T)
-        trivial = np.sqrt(r)
+    lam, X = symmetric_eigen(S.T @ S)
     sigma = np.sqrt(lam)
     # The weight direction is an exact null vector of S; residual null-space
     # contamination of near-zero axes gets amplified by 1/sigma^2 in the
     # transition identities, so project it out analytically.
+    trivial = np.sqrt(c)
     trivial = trivial / np.linalg.norm(trivial)
     X = X - np.outer(trivial, trivial @ X)
     norms = np.linalg.norm(X, axis=0)
@@ -283,7 +277,7 @@ def ca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) -> 
     cutoff = max(RANK_CUTOFF, noise_floor)
     n_nonzero = 0
     for a in range(min(k_max, sigma.size)):
-        if sigma.size == 0 or sigma[0] < noise_floor or sigma[a] < cutoff * sigma[0]:
+        if sigma[0] < noise_floor or sigma[a] < cutoff * sigma[0]:
             break
         n_nonzero += 1
     n_keep = min(k, n_nonzero)
@@ -291,13 +285,10 @@ def ca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) -> 
     axes = []
     for a in range(n_keep):
         s_a = float(sigma[a])
-        x = X[:, a]
-        if J <= I:
-            g = s_a * x / np.sqrt(c)
-            f = (P @ g) / r / s_a
-        else:
-            f = s_a * x / np.sqrt(r)
-            g = (P.T @ f) / c / s_a
+        g = s_a * X[:, a] / np.sqrt(c)
+        f = (P @ g) / r / s_a
+        if transposed:
+            f, g = g, f
         g, f = _orient(g, f)
         axes.append(Axis(f=f, g=g, sigma=s_a, u=g / s_a, v=f / s_a))
 

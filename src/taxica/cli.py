@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ca import Decomposition, axes_requested, ca_decompose
+from .ca import Decomposition, ca_decompose
 from .diagnostics import (
     MAX_MATCHED_AXES,
     SimilarityReport,
@@ -26,7 +26,7 @@ from .diagnostics import (
     map_similarity,
     verify,
 )
-from .entry import build_parser
+from .entry import _parse
 from .errors import NumericalError, TaxicaError, ValidationError
 from .reduction import ReductionTrace, reduce_to_minimal
 from .sparsity import classify, seven_number
@@ -216,29 +216,64 @@ def _verification_payload(report: VerificationReport) -> dict:
     }
 
 
-def _summary_row(tag: str, payload: dict) -> str:
-    mh1 = payload["mh1"]
-    return (
-        f"{tag:<8}{payload['rows']}x{payload['cols']:<8}"
-        f"{payload['ave']:<12.4f}{payload['pct_zero']:<12.4f}"
-        f"{mh1['min']:<8.4g}{mh1['q1']:<8.4g}{mh1['median']:<8.4g}"
-        f"{mh1['q3']:<8.4g}{mh1['max']:<8.4g}"
-    )
+def _render_summary(payload: dict) -> str:
+    sparsity = payload["sparsity"]
+    lines = [
+        f"{'':8}{'size':<10}{'ave':<12}{'%zero':<12}"
+        f"{'min':<8}{'Q1':<8}{'median':<8}{'Q3':<8}{'max':<8}"
+    ]
+    for tag in ("N", "M"):
+        summary = sparsity[tag]
+        mh1 = summary["mh1"]
+        lines.append(
+            f"{tag:<8}{summary['rows']}x{summary['cols']:<8}"
+            f"{summary['ave']:<12.4f}{summary['pct_zero']:<12.4f}"
+            f"{mh1['min']:<8.4g}{mh1['q1']:<8.4g}{mh1['median']:<8.4g}"
+            f"{mh1['q3']:<8.4g}{mh1['max']:<8.4g}"
+        )
+    verdict = sparsity["classification"]
+    lines.append(f"class: {verdict['level']} ({verdict['rationale']})")
+    return "\n".join(lines) + "\n"
 
 
-def _render_decomposition_table(payload: dict, table: ContingencyTable) -> str:
-    lines = [f"method: {payload['method']}  rank: {payload['rank_used']}"]
-    for sigma, pct in zip(payload["sigmas"], payload["explained_pct"]):
+def _render_decomposition(payload: dict, method: str) -> str:
+    body = payload[method]
+    lines = [f"method: {body['method']}  rank: {body['rank_used']}"]
+    for sigma, pct in zip(body["sigmas"], body["explained_pct"]):
         lines.append(f"  sigma={sigma:.4f}  explained={pct:.4f}%")
     for section, labels, ckey, vkey in (
-        ("rows", table.row_labels, "row_contributions", "row_coords"),
-        ("columns", table.col_labels, "col_contributions", "col_coords"),
+        ("rows", payload["input"]["row_labels"], "row_contributions", "row_coords"),
+        ("columns", payload["input"]["col_labels"], "col_contributions", "col_coords"),
     ):
         lines.append(section + ":")
         for i, label in enumerate(labels):
-            coords = "  ".join(f"{axis[vkey][i]:>9.4f}" for axis in payload["axes"])
-            contrib = "  ".join(f"{axis[ckey][i]:>5.0f}" for axis in payload["axes"])
+            coords = "  ".join(f"{axis[vkey][i]:>9.4f}" for axis in body["axes"])
+            contrib = "  ".join(f"{axis[ckey][i]:>5.0f}" for axis in body["axes"])
             lines.append(f"  {label:<16}{coords}   |contrib: {contrib}")
+    return "\n".join(lines) + "\n"
+
+
+def _render_similarity(payload: dict) -> str:
+    report = payload["similarity"]
+    lines = [f"verdict: {report['verdict']} (threshold {report['threshold']:g})"]
+    for axis in report["axes"]:
+        lines.append(f"  CA axis {axis['axis']} ~ TCA axis {axis['paired_axis']}: phi={axis['phi']:.4f}")
+    return "\n".join(lines) + "\n"
+
+
+def _render_verification(payload: dict) -> str:
+    lines = []
+    for method in ("ca", "tca"):
+        rep = payload[method]
+        lines.append(f"{method.upper()}: {'pass' if rep['passed'] else 'FAIL'}")
+        for check in rep["checks"]:
+            status = "pass" if check["passed"] else "FAIL"
+            if not check["applicable"]:
+                status = "n/a "
+            lines.append(
+                f"  {check['name']:<18}{status}  max_residual={check['max_residual']:.3e}"
+                f"  tol={check['tolerance']:.0e}"
+            )
     return "\n".join(lines) + "\n"
 
 
@@ -259,15 +294,23 @@ def _load_table(args) -> ContingencyTable:
     return table
 
 
-def _cmd_summarize(args) -> str:
-    table = _load_table(args)
+def _axes_flag(axes: Optional[int], default: int, top: int, table: ContingencyTable) -> int:
+    """The ``--axes`` value, ``default`` when the flag is absent; a value
+    outside 1..top raises :class:`ValidationError` naming the flag."""
+    if axes is None:
+        return default
+    if not 1 <= axes <= top:
+        I, J = table.shape
+        raise ValidationError(f"--axes {axes} out of range 1..{top} for a {I}x{J} table")
+    return axes
+
+
+def _summarize(args, table: ContingencyTable) -> dict:
     trace = reduce_to_minimal(table)
     summary_n = seven_number(table, method=args.quantile)
     summary_m = seven_number(trace.minimal, method=args.quantile)
     verdict = classify(summary_m)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "input": _digest(table),
+    return {
         "reduction": {
             "original_size": list(trace.original.shape),
             "minimal_size": list(trace.minimal.shape),
@@ -279,126 +322,80 @@ def _cmd_summarize(args) -> str:
             "classification": {"level": verdict.level.value, "rationale": verdict.rationale},
         },
     }
-    if args.format == "json":
-        return _dumps(payload)
-    header = (
-        f"{'':8}{'size':<10}{'ave':<12}{'%zero':<12}"
-        f"{'min':<8}{'Q1':<8}{'median':<8}{'Q3':<8}{'max':<8}"
-    )
-    lines = [
-        header,
-        _summary_row("N", payload["sparsity"]["N"]),
-        _summary_row("M", payload["sparsity"]["M"]),
-        f"class: {verdict.level.value} ({verdict.rationale})",
-    ]
-    return "\n".join(lines) + "\n"
 
 
-def _cmd_reduce(args) -> str:
-    table = _load_table(args)
+def _reduce(args, table: ContingencyTable) -> dict:
     trace = reduce_to_minimal(table)
-    csv_text = serialize_table(trace.minimal, delimiter=args.delimiter)
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "input": _digest(table),
-            "minimal_csv": csv_text,
-            "trace": _trace_payload(trace),
-        }
-        return _dumps(payload)
-    return csv_text + "\n" + _dumps({"trace": _trace_payload(trace)})
+    return {
+        "minimal_csv": serialize_table(trace.minimal, delimiter=args.delimiter),
+        "trace": _trace_payload(trace),
+    }
 
 
 def _decompose(table: ContingencyTable, method: str) -> Decomposition:
+    decompose = ca_decompose if method == "ca" else tca_decompose
+    return decompose(build_model(table))
+
+
+def _engine(args, table: ContingencyTable) -> dict:
+    k_max = min(table.shape) - 1
+    report_axes = _axes_flag(args.axes, k_max, k_max, table)
+    decomp = _decompose(table, args.command)
+    return {args.command: _decomposition_payload(decomp, report_axes)}
+
+
+def _compare(args, table: ContingencyTable) -> dict:
     model = build_model(table)
-    if method == "ca":
-        return ca_decompose(model)
-    return tca_decompose(model)
-
-
-def _cmd_engine(args, method: str) -> str:
-    table = _load_table(args)
-    report_axes = axes_requested(args.axes, *table.shape, label=f"--axes {args.axes}")
-    decomp = _decompose(table, method)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "input": _digest(table),
-        method: _decomposition_payload(decomp, report_axes),
-    }
-    if args.format == "json":
-        return _dumps(payload)
-    return _render_decomposition_table(payload[method], table)
-
-
-def _cmd_compare(args) -> str:
-    table = _load_table(args)
-    d_ca = _decompose(table, "ca")
-    d_tca = _decompose(table, "tca")
+    d_ca = ca_decompose(model)
+    d_tca = tca_decompose(model)
     I, J = table.shape
     rank = min(d_ca.rank_used, d_tca.rank_used)
     if rank == 0:
         raise ValidationError(
             f"the {I}x{J} table has no axis: its lines are proportional up to rounding"
         )
-    axes = args.axes if args.axes is not None else min(2, rank)
     # Above MAX_MATCHED_AXES, map_similarity refuses the pairing search itself.
-    if axes <= MAX_MATCHED_AXES and not 1 <= axes <= rank:
-        raise ValidationError(f"--axes {axes} out of range 1..{rank} for a {I}x{J} table")
+    axes = args.axes
+    if axes is None or axes <= MAX_MATCHED_AXES:
+        axes = _axes_flag(axes, min(2, rank), rank, table)
     report = map_similarity(d_ca, d_tca, axes=axes, threshold=args.phi_threshold)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "input": _digest(table),
+    return {
         "ca": {"sigmas": d_ca.sigmas, "explained_pct": explained_variation(d_ca)},
         "tca": {"sigmas": d_tca.sigmas, "explained_pct": explained_variation(d_tca)},
         "similarity": _similarity_payload(report),
     }
-    if args.format == "json":
-        return _dumps(payload)
-    lines = [f"verdict: {report.verdict} (threshold {report.threshold:g})"]
-    for a, (phi, b) in enumerate(zip(report.phis, report.pairing)):
-        lines.append(f"  CA axis {a + 1} ~ TCA axis {b + 1}: phi={phi:.4f}")
-    return "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args) -> str:
-    table = _load_table(args)
-    reports = {
-        "ca": _verification_payload(verify(_decompose(table, "ca"))),
-        "tca": _verification_payload(verify(_decompose(table, "tca"))),
+def _verify(args, table: ContingencyTable) -> dict:
+    model = build_model(table)
+    return {
+        "ca": _verification_payload(verify(ca_decompose(model))),
+        "tca": _verification_payload(verify(tca_decompose(model))),
     }
-    payload = {"schema": SCHEMA_VERSION, "input": _digest(table), **reports}
-    if args.format == "json":
-        return _dumps(payload)
-    lines = []
-    for method in ("ca", "tca"):
-        rep = reports[method]
-        lines.append(f"{method.upper()}: {'pass' if rep['passed'] else 'FAIL'}")
-        for check in rep["checks"]:
-            status = "pass" if check["passed"] else "FAIL"
-            if not check["applicable"]:
-                status = "n/a "
-            lines.append(
-                f"  {check['name']:<18}{status}  max_residual={check['max_residual']:.3e}"
-                f"  tol={check['tolerance']:.0e}"
-            )
-    return "\n".join(lines) + "\n"
 
 
-def _cmd_plot(args) -> str:
-    table = _load_table(args)
-    decomp = _decompose(table, args.method)
-    return emit_svg_biplot(decomp, args.axis_x, args.axis_y)
-
-
+#: Per subcommand but ``plot``: the payload builder, and the renderer of a
+#: whole payload for ``--format table``.
 _COMMANDS = {
-    "summarize": _cmd_summarize,
-    "reduce": _cmd_reduce,
-    "ca": lambda args: _cmd_engine(args, "ca"),
-    "tca": lambda args: _cmd_engine(args, "tca"),
-    "compare": _cmd_compare,
-    "verify": _cmd_verify,
-    "plot": _cmd_plot,
+    "summarize": (_summarize, _render_summary),
+    "reduce": (_reduce, lambda payload: payload["minimal_csv"] + "\n" + _dumps({"trace": payload["trace"]})),
+    "ca": (_engine, lambda payload: _render_decomposition(payload, "ca")),
+    "tca": (_engine, lambda payload: _render_decomposition(payload, "tca")),
+    "compare": (_compare, _render_similarity),
+    "verify": (_verify, _render_verification),
 }
+
+
+def _output(args) -> str:
+    """The text one subcommand writes: an SVG for ``plot``; otherwise the
+    payload, headed by the schema version and the input digest, as JSON or
+    rendered as text tables."""
+    table = _load_table(args)
+    if args.command == "plot":
+        return emit_svg_biplot(_decompose(table, args.method), args.axis_x, args.axis_y)
+    build, render = _COMMANDS[args.command]
+    payload = {"schema": SCHEMA_VERSION, "input": _digest(table), **build(args, table)}
+    return _dumps(payload) if args.format == "json" else render(payload)
 
 
 def _write_output(text: str, output: Optional[str]) -> None:
@@ -417,7 +414,7 @@ def _write_output(text: str, output: Optional[str]) -> None:
 def run_args(args: argparse.Namespace) -> int:
     """Run the subcommand of parsed arguments and return the exit code."""
     try:
-        _write_output(_COMMANDS[args.command](args), args.output)
+        _write_output(_output(args), args.output)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
@@ -429,8 +426,5 @@ def run_args(args: argparse.Namespace) -> int:
 
 def run_cli(argv: Optional[list[str]] = None) -> int:
     """Parse arguments, run one subcommand, and return the process exit code."""
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    return run_args(args)
+    args = _parse(argv)
+    return args if isinstance(args, int) else run_args(args)

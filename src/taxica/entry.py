@@ -14,8 +14,18 @@ import sys
 __all__ = ["build_parser", "main"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help and usage writes raise their
+    ``OSError``, which ``ArgumentParser`` swallows. Subparsers are built
+    from the same class."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="taxica",
         description="Correspondence analysis and taxicab correspondence "
         "analysis of contingency tables.",
@@ -62,27 +72,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str] | None = None) -> argparse.Namespace | int:
+    """The parsed arguments, or the exit code when parsing ends the call:
+    0 after ``--help``, 2 after a usage error. Help or usage text that
+    cannot be written also ends it with 2, reported as unwritable output,
+    like a subcommand's output. stdout is flushed either way."""
+    try:
+        try:
+            return build_parser().parse_args(argv)
+        finally:
+            sys.stdout.flush()
+    except SystemExit as stop:
+        return int(stop.code or 0)
+    except OSError as exc:
+        try:
+            print(f"error: cannot write output to stdout: {exc}", file=sys.stderr)
+        except OSError:
+            pass
+        return 2
+
+
 def main() -> None:
     """Run one subcommand on ``sys.argv`` and end the process.
 
     Every call ends with ``os._exit``, which skips the interpreter's
     teardown (atexit hooks, module and heap cleanup) that a CLI call does
-    not need. A subcommand has written and flushed its output, and stderr is
-    line buffered. ``--help`` (exit 0) and usage errors (exit 2) leave
-    argparse by ``SystemExit``, so their output is flushed here first; help
-    whose flush fails exits 2, as a subcommand's output does.
+    not need. A subcommand has written and flushed its output, as
+    :func:`_parse` has flushed help; stderr is line buffered.
     """
-    try:
-        args = build_parser().parse_args()
-    except SystemExit as stop:
-        code = stop.code
-        try:
-            sys.stdout.flush()
-        except OSError as exc:
-            print(f"error: cannot write output to stdout: {exc}", file=sys.stderr)
-            code = 2
+    args = _parse()
+    if isinstance(args, int):
         sys.stderr.flush()
-        os._exit(code)
+        os._exit(args)
     from .cli import run_args
 
     os._exit(run_args(args))

@@ -136,14 +136,40 @@ def _proportional_groups(lines: np.ndarray, tol: float) -> list[list[int]]:
     return [groups[k] for k in sorted(groups)]
 
 
+def _joined(labels: tuple[str, ...], members) -> str:
+    """Label of a merged line: its members' original labels joined by "+"."""
+    return "+".join(labels[i] for i in members)
+
+
+def _merge_pass(lines: np.ndarray, groups: list[list[int]], axis: str, labels, steps: list):
+    """Sum each class of proportional rows of ``lines`` into one row.
+
+    ``groups[i]`` holds the original indices behind row i. Returns the new
+    lines and groups, and appends one :class:`MergeStep` per merged class
+    to ``steps``; ``lines`` and ``groups`` come back as given when no two
+    rows are proportional.
+    """
+    classes = _proportional_groups(lines, PROPORTIONAL_TOL)
+    if len(classes) == len(groups):
+        return lines, groups
+    merged_groups = []
+    for cls in classes:
+        members = sorted(idx for cur in cls for idx in groups[cur])
+        merged_groups.append(members)
+        if len(cls) > 1:
+            steps.append(MergeStep(axis, tuple(members), _joined(labels, members)))
+    return np.array([lines[cls].sum(axis=0) for cls in classes]), merged_groups
+
+
 def reduce_to_minimal(table: ContingencyTable) -> ReductionTrace:
     """Merge proportional lines until no two rows or columns are proportional.
 
-    Alternates full row passes and column passes until a fixed point: merging
-    rows can make columns proportional and vice versa. Within a pass all
-    groups merge at once; a merged line is labeled by joining its members'
-    original labels with "+". The grand total n is preserved and the result
-    is unique up to the ordering induced by the original table.
+    Alternates full row passes and column passes (a row pass over the
+    transposed table) until a fixed point: merging rows can make columns
+    proportional and vice versa. Within a pass all groups merge at once; a
+    merged line is labeled by joining its members' original labels with
+    "+". The grand total n is preserved and the result is unique up to the
+    ordering induced by the original table.
     """
     counts = table.counts
     if np.any(counts.sum(axis=1) == 0) or np.any(counts.sum(axis=0) == 0):
@@ -153,50 +179,17 @@ def reduce_to_minimal(table: ContingencyTable) -> ReductionTrace:
     row_groups: list[list[int]] = [[i] for i in range(table.shape[0])]
     col_groups: list[list[int]] = [[j] for j in range(table.shape[1])]
     steps: list[MergeStep] = []
-
-    def merge_axis(axis: str) -> bool:
-        nonlocal work, row_groups, col_groups
-        lines = work if axis == "row" else work.T
-        groups = _proportional_groups(lines, PROPORTIONAL_TOL)
-        if all(len(g) == 1 for g in groups):
-            return False
-        orig_groups = row_groups if axis == "row" else col_groups
-        labels = table.row_labels if axis == "row" else table.col_labels
-        new_orig: list[list[int]] = []
-        merged_lines = []
-        for g in groups:
-            members = sorted(idx for cur in g for idx in orig_groups[cur])
-            new_orig.append(members)
-            merged_lines.append(lines[g].sum(axis=0))
-            if len(g) > 1:
-                steps.append(
-                    MergeStep(
-                        axis=axis,
-                        merged_indices=tuple(members),
-                        new_label="+".join(labels[i] for i in members),
-                    )
-                )
-        merged = np.array(merged_lines)
-        if axis == "row":
-            work = merged
-            row_groups = new_orig
-        else:
-            work = merged.T
-            col_groups = new_orig
-        return True
-
     while True:
-        changed = merge_axis("row")
-        changed = merge_axis("col") or changed
-        if not changed:
+        shape = work.shape
+        work, row_groups = _merge_pass(work, row_groups, "row", table.row_labels, steps)
+        work, col_groups = _merge_pass(work.T, col_groups, "col", table.col_labels, steps)
+        work = work.T
+        if work.shape == shape:
             break
 
-    def group_label(members: list[int], labels: tuple[str, ...]) -> str:
-        return "+".join(labels[i] for i in members)
-
     minimal = ContingencyTable(
-        tuple(group_label(g, table.row_labels) for g in row_groups),
-        tuple(group_label(g, table.col_labels) for g in col_groups),
+        tuple(_joined(table.row_labels, g) for g in row_groups),
+        tuple(_joined(table.col_labels, g) for g in col_groups),
         work,
     )
     return ReductionTrace(
@@ -224,7 +217,7 @@ def apply_grouping(table: ContingencyTable, row_groups, col_groups) -> Contingen
     grouped_rows = np.array([table.counts[g].sum(axis=0) for g in row_groups])
     grouped = np.array([grouped_rows[:, g].sum(axis=1) for g in col_groups]).T
     return ContingencyTable(
-        tuple("+".join(table.row_labels[i] for i in g) for g in row_groups),
-        tuple("+".join(table.col_labels[j] for j in g) for g in col_groups),
+        tuple(_joined(table.row_labels, g) for g in row_groups),
+        tuple(_joined(table.col_labels, g) for g in col_groups),
         grouped,
     )

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import taxica
-from taxica import NumericalError, parse_table
+from taxica import NumericalError, build_model, cli, parse_table
 from taxica.cli import _dumps, run_cli
 from taxica.entry import build_parser
 
@@ -181,6 +181,18 @@ class TestCompareAndVerify:
     def test_axes_beyond_pairing_cap_rejected(self, capsys):
         assert run_cli(["compare", "--input", RODENTS, "--axes", "10"]) == 2
         assert "10! = 3628800 pairings" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compare", "verify"])
+    def test_both_methods_share_one_model(self, capsys, monkeypatch, command):
+        built = []
+
+        def counting_build_model(table):
+            built.append(table.shape)
+            return build_model(table)
+
+        monkeypatch.setattr(cli, "build_model", counting_build_model)
+        assert run_cli([command, "--input", TV]) == 0
+        assert built == [(13, 7)]
 
     def test_verify_all_checks_pass(self, capsys):
         payload = run_json(capsys, ["verify", "--input", RODENTS])
@@ -547,14 +559,17 @@ class TestProcessExit:
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("size", ["small", "large"])
-    def test_unwritable_stdout_exits_2(self, tmp_path, size, unbuffered):
+    @pytest.mark.parametrize("output", ["small", "large", "help", "tca-help"])
+    def test_unwritable_stdout_exits_2(self, tmp_path, output, unbuffered):
         # The summary fits the stdout buffer, so buffered it fails only on
         # flush; the 80x48 tca payload is beyond 64 KB, so it fails in write.
-        if size == "small":
+        # Help is written by argparse, whose own writer swallows the OSError.
+        if output == "small":
             argv = ["summarize", "--input", TV]
-        else:
+        elif output == "large":
             argv = ["tca", "--input", write_table(tmp_path, 80, 48, seed=48), "--format", "json"]
+        else:
+            argv = ["tca", "--help"] if output == "tca-help" else ["--help"]
         env = cli_env("1")
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"

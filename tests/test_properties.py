@@ -38,6 +38,20 @@ def count_matrices(draw, max_side=6, max_count=20):
 
 
 @st.composite
+def reducible_matrices(draw):
+    """Count matrices with proportional lines: every row and then every
+    column of a small base, plus repeats, at integer multiples in shuffled
+    order, so reduction has rows and columns to merge."""
+    counts = draw(count_matrices(max_side=4, max_count=9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(2):
+        m = counts.shape[0]
+        which = rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, draw(st.integers(0, 5)))]))
+        counts = (counts[which] * rng.integers(1, 4, which.size)[:, None]).T
+    return counts
+
+
+@st.composite
 def psd_matrices(draw, parity):
     """Symmetric PSD matrices of odd or even size 1-40: full-rank Gram
     matrices, rank-deficient ones, and spectra with repeated eigenvalues."""
@@ -178,3 +192,35 @@ class TestDecompositionProperties:
             assert report.passed, [
                 (c.name, c.max_residual) for c in report.checks if not c.passed
             ]
+
+
+class TestTransposeEquivariance:
+    """Transposing a table swaps the roles of rows and columns: each example
+    runs a table and its transpose, so both orientations of the code."""
+
+    @given(count_matrices(max_side=9))
+    @settings(max_examples=60, deadline=None)
+    def test_ca_of_the_transpose_swaps_f_and_g(self, counts):
+        # A square table is solved as given in both orientations, so tied
+        # dispersions (a permutation table) may get different bases.
+        assume(counts.shape[0] != counts.shape[1])
+        d = ca_decompose(build_model(make_table(counts)))
+        dt = ca_decompose(build_model(make_table(counts.T)))
+        assert dt.rank_used == d.rank_used
+        np.testing.assert_allclose(dt.sigmas, d.sigmas, rtol=1e-12, atol=0.0)
+        for axis, axis_t in zip(d.axes, dt.axes):
+            sign = 1.0 if np.abs(axis_t.f - axis.g).max() <= np.abs(axis_t.f + axis.g).max() else -1.0
+            for got, want in ((axis_t.f, axis.g), (axis_t.g, axis.f)):
+                assert np.abs(sign * got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @given(reducible_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_reduction_of_the_transpose_swaps_the_groups(self, counts):
+        rows = [f"r{i}" for i in range(counts.shape[0])]
+        cols = [f"c{j}" for j in range(counts.shape[1])]
+        trace = reduce_to_minimal(make_table(counts, rows, cols))
+        trace_t = reduce_to_minimal(make_table(counts.T, cols, rows))
+        assert (trace_t.row_groups, trace_t.col_groups) == (trace.col_groups, trace.row_groups)
+        assert trace_t.minimal.row_labels == trace.minimal.col_labels
+        assert trace_t.minimal.col_labels == trace.minimal.row_labels
+        assert np.array_equal(trace_t.minimal.counts, trace.minimal.counts.T)
