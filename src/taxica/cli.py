@@ -289,7 +289,8 @@ def _load_table(args) -> ContingencyTable:
     table, warnings = validate_table(table)
     for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
-    if args.reduced:
+    # summarize and reduce declare no --reduced: they reduce the table themselves.
+    if getattr(args, "reduced", False):
         table = reduce_to_minimal(table).minimal
     return table
 
@@ -345,20 +346,17 @@ def _engine(args, table: ContingencyTable) -> dict:
 
 
 def _compare(args, table: ContingencyTable) -> dict:
+    I, J = table.shape
+    axes = _axes_flag(args.axes, 2, min(min(I, J) - 1, MAX_MATCHED_AXES), table)
     model = build_model(table)
     d_ca = ca_decompose(model)
     d_tca = tca_decompose(model)
-    I, J = table.shape
     rank = min(d_ca.rank_used, d_tca.rank_used)
     if rank == 0:
         raise ValidationError(
             f"the {I}x{J} table has no axis: its lines are proportional up to rounding"
         )
-    # Above MAX_MATCHED_AXES, map_similarity refuses the pairing search itself.
-    axes = args.axes
-    if axes is None or axes <= MAX_MATCHED_AXES:
-        axes = _axes_flag(axes, min(2, rank), rank, table)
-    report = map_similarity(d_ca, d_tca, axes=axes, threshold=args.phi_threshold)
+    report = map_similarity(d_ca, d_tca, axes=min(axes, rank), threshold=args.phi_threshold)
     return {
         "ca": {"sigmas": d_ca.sigmas, "explained_pct": explained_variation(d_ca)},
         "tca": {"sigmas": d_tca.sigmas, "explained_pct": explained_variation(d_tca)},

@@ -43,10 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--format", choices=("json", "table"), default=default_format,
                 help=f"output format (default {default_format})",
             )
-        p.add_argument(
-            "--reduced", action="store_true",
-            help="analyze the minimal representative table instead of the input",
-        )
         return p
 
     p_sum = add_command("summarize", "7-number sparsity summaries of N and M", "table")
@@ -64,11 +60,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--phi-threshold", type=float, default=0.9,
         help="congruence needed to call a pair of axes similar (default 0.9)",
     )
-    add_command("verify", "check decomposition invariants", "json")
+    p_verify = add_command("verify", "check decomposition invariants", "json")
     p_plot = add_command("plot", "emit an SVG biplot", None)
     p_plot.add_argument("--method", choices=("ca", "tca"), default="ca")
     p_plot.add_argument("--axis-x", type=int, default=1, help="1-based axis for x")
     p_plot.add_argument("--axis-y", type=int, default=2, help="1-based axis for y")
+    # summarize and reduce print the minimal table whatever they are asked.
+    for p in (p_ca, p_tca, p_cmp, p_verify, p_plot):
+        p.add_argument(
+            "--reduced", action="store_true",
+            help="analyze the minimal representative table instead of the input",
+        )
     return parser
 
 

@@ -82,9 +82,7 @@ def five_number(batch, method: str = "hinges") -> tuple[float, float, float, flo
     if xs.size == 0:
         raise ValidationError("five_number of an empty batch")
     if method == "interpolated":
-        q1, med, q3 = (
-            float(v) for v in np.quantile(xs, [0.25, 0.5, 0.75], method="linear")
-        )
+        q1, med, q3 = np.quantile(xs, [0.25, 0.5, 0.75], method="linear").tolist()
         return float(xs[0]), q1, med, q3, float(xs[-1])
     if method != "hinges":
         raise ValueError(f"unknown quantile method {method!r}")
@@ -141,10 +139,12 @@ def classify(minimal_summary: SparsitySummary) -> SparsityClass:
                      positive counts are small (Q1 <= 2 and median <= 5)
     sparse           small positive counts (Q1 <= 2 and median <= 5)
     non_sparse       otherwise
+
+    The bound levels need min(I, J) >= 2: every one-line table attains its 0% bound.
     """
     s = minimal_summary
     _, q1, median, _, _ = s.mh1
-    gap = s.bound - s.pct_zero
+    gap = s.bound - s.pct_zero if min(s.size) >= 2 else np.inf
     small_counts = q1 <= _SMALL_Q1 and median <= _SMALL_MEDIAN
     if abs(gap) <= 1e-9:
         return SparsityClass(

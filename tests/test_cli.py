@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import taxica
-from taxica import NumericalError, build_model, cli, parse_table
+from taxica import NumericalError, build_model, cli, parse_table, reduce_to_minimal
 from taxica.cli import _dumps, run_cli
 from taxica.entry import build_parser
 
@@ -174,13 +174,39 @@ class TestCompareAndVerify:
             assert len(payload["similarity"]["axes"]) == 1
             assert payload["similarity"]["verdict"] == "similar"
 
-    def test_explicit_axes_beyond_rank_rejected(self, capsys):
-        assert run_cli(["compare", "--input", TOY, "--axes", "2"]) == 2
-        assert "out of range 1..1" in capsys.readouterr().err
+    def test_explicit_axes_beyond_rank_match_the_rank(self, capsys):
+        # --axes is checked against the shape, as for ca and tca, which
+        # report the rank's axes when asked for more.
+        payload = run_json(capsys, ["compare", "--input", TOY, "--axes", "2"])
+        assert len(payload["similarity"]["axes"]) == 1
+        assert payload["similarity"]["verdict"] == "similar"
+        assert run_json(capsys, ["ca", "--input", TOY, "--axes", "2"])["ca"]["rank_used"] == 1
 
-    def test_axes_beyond_pairing_cap_rejected(self, capsys):
-        assert run_cli(["compare", "--input", RODENTS, "--axes", "10"]) == 2
-        assert "10! = 3628800 pairings" in capsys.readouterr().err
+    def test_axes_beyond_pairing_cap_rejected(self, capsys, tmp_path):
+        assert run_cli(["compare", "--input", write_wide_table(tmp_path), "--axes", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --axes 10 out of range 1..9 for a 60x44 table\n"
+
+    @pytest.mark.parametrize(
+        "shape, axes, top",
+        [((80, 48), "0", 9), ((80, 48), "10", 9), ((80, 48), "48", 9), ((13, 7), "7", 6)],
+    )
+    def test_axes_outside_the_shape_are_refused_before_decomposing(
+        self, capsys, monkeypatch, tmp_path, shape, axes, top
+    ):
+        path = TV if shape == (13, 7) else write_count_table(tmp_path, *shape, zeros=0.75, seed=11)
+        built = []
+
+        def counting_build_model(table):
+            built.append(table.shape)
+            return build_model(table)
+
+        monkeypatch.setattr(cli, "build_model", counting_build_model)
+        assert run_cli(["compare", "--input", path, "--axes", axes]) == 2
+        I, J = shape
+        assert capsys.readouterr().err == f"error: --axes {axes} out of range 1..{top} for a {I}x{J} table\n"
+        assert built == []
 
     @pytest.mark.parametrize("command", ["compare", "verify"])
     def test_both_methods_share_one_model(self, capsys, monkeypatch, command):
@@ -329,31 +355,36 @@ class TestErrorsAndWarnings:
 
 
 #: The flags that every subcommand reads.
-COMMON_FLAGS = {"--input", "--delimiter", "--output", "--reduced"}
+COMMON_FLAGS = {"--input", "--delimiter", "--output"}
 
-#: The flags of each subcommand, beyond --help.
+#: The flags of each subcommand, beyond --help. summarize and reduce take no
+#: --reduced: they print the minimal table anyway.
 SUBCOMMAND_FLAGS = {
     "summarize": COMMON_FLAGS | {"--format", "--quantile"},
     "reduce": COMMON_FLAGS | {"--format"},
-    "ca": COMMON_FLAGS | {"--format", "--axes"},
-    "tca": COMMON_FLAGS | {"--format", "--axes"},
-    "compare": COMMON_FLAGS | {"--format", "--axes", "--phi-threshold"},
-    "verify": COMMON_FLAGS | {"--format"},
-    "plot": COMMON_FLAGS | {"--method", "--axis-x", "--axis-y"},
+    "ca": COMMON_FLAGS | {"--format", "--axes", "--reduced"},
+    "tca": COMMON_FLAGS | {"--format", "--axes", "--reduced"},
+    "compare": COMMON_FLAGS | {"--format", "--axes", "--phi-threshold", "--reduced"},
+    "verify": COMMON_FLAGS | {"--format", "--reduced"},
+    "plot": COMMON_FLAGS | {"--method", "--axis-x", "--axis-y", "--reduced"},
 }
+
+
+def declared_flags() -> dict[str, set[str]]:
+    """The flags each subcommand's parser declares, beyond --help."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
 
 
 class TestSurface:
     def test_each_subcommand_declares_only_the_flags_it_reads(self):
-        parser = build_parser()
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        declared = {
-            name: {flag for action in p._actions for flag in action.option_strings}
-            - {"-h", "--help"}
-            for name, p in sub.choices.items()
-        }
+        declared = declared_flags()
         assert declared == SUBCOMMAND_FLAGS
-        assert sum(len(flags) for flags in declared.values()) == 42
+        assert sum(len(flags) for flags in declared.values()) == 40
 
     @pytest.mark.parametrize(
         "argv",
@@ -363,12 +394,29 @@ class TestSurface:
             ["ca", "--quantile", "hinges"],
             ["summarize", "--axes", "1"],
             ["tca", "--exact-threshold", "20"],
+            ["summarize", "--reduced"],
+            ["reduce", "--reduced"],
         ],
     )
     def test_flags_a_subcommand_does_not_read_are_refused(self, capsys, argv):
         assert run_cli([*argv, "--input", TV]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+    def test_no_call_reduces_twice(self, capsys, monkeypatch, command):
+        reduced = []
+
+        def counting_reduce(table):
+            reduced.append(table.shape)
+            return reduce_to_minimal(table)
+
+        monkeypatch.setattr(cli, "reduce_to_minimal", counting_reduce)
+        argv = [command, "--input", RODENTS]
+        if "--reduced" in declared_flags()[command]:
+            argv.append("--reduced")
+        assert run_cli(argv) == 0
+        assert reduced == [(28, 9)]
 
 
 #: Cells beyond small counts: non-finite, negative, underscored, subnormal
@@ -426,7 +474,7 @@ class TestFuzzedInput:
         path.write_text(text, encoding="utf-8")
         for argv in FUZZ_COMMANDS:
             argv = [*argv, "--input", str(path), "--delimiter", delimiter]
-            if reduced:
+            if reduced and "--reduced" in SUBCOMMAND_FLAGS[argv[0]]:
                 argv.append("--reduced")
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -437,18 +485,24 @@ class TestFuzzedInput:
                 assert out.getvalue() == "", argv
 
 
+def write_count_table(directory, rows: int, cols: int, zeros: float, seed: int) -> str:
+    """A seeded Poisson count table with about ``zeros`` of its cells zero;
+    the first row and column have no zero, so no line is dropped."""
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(6.0, size=(rows, cols)) * (rng.random((rows, cols)) > zeros)
+    counts[:, 0] += 1
+    counts[0, :] += 1
+    lines = ["," + ",".join(f"c{j}" for j in range(cols))]
+    lines += [f"r{i}," + ",".join(str(v) for v in row) for i, row in enumerate(counts)]
+    path = directory / f"counts_{rows}x{cols}_{seed}.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
 def write_wide_table(directory) -> str:
     """A seeded 60x44 count table with 30% zeros: CA eigensolves a 44x44
     matrix, so every round of Jacobi rotations holds 22 pairs."""
-    rng = np.random.default_rng(44)
-    counts = rng.poisson(6.0, size=(60, 44)) * (rng.random((60, 44)) > 0.3)
-    counts[:, 0] += 1
-    counts[0, :] += 1
-    lines = ["," + ",".join(f"c{j}" for j in range(44))]
-    lines += [f"r{i}," + ",".join(str(v) for v in row) for i, row in enumerate(counts)]
-    path = directory / "wide_60x44.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return str(path)
+    return write_count_table(directory, 60, 44, zeros=0.3, seed=44)
 
 
 #: Placeholder replaced by the path of the table of ``write_wide_table``.

@@ -122,6 +122,22 @@ class TestClassify:
         assert verdict.level is SparsityLevel.SPARSEST
         assert "bound" in verdict.rationale
 
+    @pytest.mark.parametrize(
+        "counts, level",
+        [
+            ([[5, 6], [10, 12]], SparsityLevel.NON_SPARSE),  # proportional rows
+            ([[1, 2, 3]], SparsityLevel.NON_SPARSE),
+            ([[1, 1]], SparsityLevel.SPARSE),
+        ],
+    )
+    def test_one_line_minimal_is_classified_by_its_counts(self, counts, level):
+        # Its zero-percentage bound is 0%, which every one-line table attains.
+        minimal = reduce_to_minimal(make_table(counts)).minimal
+        assert minimal.shape == (1, 1)
+        verdict = classify(seven_number(minimal))
+        assert verdict.level is level
+        assert "bound" not in verdict.rationale
+
     def test_vegetation_like_summary_is_extremely_sparse(self):
         # 266 x 220 abundance matrix: 96.3% zeros against a 99.5% bound
         summary = SparsitySummary(
