@@ -252,7 +252,6 @@ def ca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) -> 
     defaults to the maximal possible rank, min(I, J) - 1.
     """
     I, J = model.shape
-    k_max = min(I, J) - 1
     k = axes_requested(max_axes, I, J)
 
     # Rows and columns play symmetric roles: a table with more columns than
@@ -262,7 +261,8 @@ def ca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) -> 
     if transposed:
         S, P, r, c = S.T, P.T, c, r
 
-    lam, X = symmetric_eigen(S.T @ S)
+    # Not S.T @ S: at some shapes BLAS splits that sum by thread, and the bits vary.
+    lam, X = symmetric_eigen(np.einsum("ki,kj->ij", S, S))
     sigma = np.sqrt(lam)
     # The weight direction is an exact null vector of S; residual null-space
     # contamination of near-zero axes gets amplified by 1/sigma^2 in the
@@ -276,7 +276,7 @@ def ca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) -> 
     noise_floor = np.sqrt(max(I, J) * np.finfo(np.float64).eps)
     cutoff = max(RANK_CUTOFF, noise_floor)
     n_nonzero = 0
-    for a in range(min(k_max, sigma.size)):
+    for a in range(min(I, J) - 1):
         if sigma[0] < noise_floor or sigma[a] < cutoff * sigma[0]:
             break
         n_nonzero += 1
