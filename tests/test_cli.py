@@ -513,6 +513,12 @@ WIDE = "<wide 60x44 table>"
 #: did not), so a BLAS Gram gives other bits at 1 thread than at 4.
 THREADED_GRAM = "<97x97 table>"
 
+#: The writer of each placeholder's table.
+SEEDED_TABLES = {
+    WIDE: write_wide_table,
+    THREADED_GRAM: lambda directory: write_count_table(directory, 97, 97, zeros=0.6, seed=0),
+}
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -528,11 +534,7 @@ class TestDeterminism:
         ],
     )
     def test_byte_identical_across_processes_and_thread_counts(self, argv, tmp_path):
-        if WIDE in argv:
-            argv = [write_wide_table(tmp_path) if a == WIDE else a for a in argv]
-        if THREADED_GRAM in argv:
-            path = write_count_table(tmp_path, 97, 97, zeros=0.6, seed=0)
-            argv = [path if a == THREADED_GRAM else a for a in argv]
+        argv = [SEEDED_TABLES[a](tmp_path) if a in SEEDED_TABLES else a for a in argv]
 
         def run(threads):
             proc = subprocess.run(
