@@ -42,8 +42,6 @@ class Axis(Record):
     __slots__ = ("f", "g", "sigma", "u", "v")
 
     def __init__(self, f: np.ndarray, g: np.ndarray, sigma: float, u: np.ndarray, v: np.ndarray):
-        for arr in (f, g, u, v):
-            arr.setflags(write=False)
         self._set(f, g, sigma, u, v)
 
 
@@ -84,13 +82,16 @@ class Decomposition(Record):
     def residuals(self) -> Optional[tuple[np.ndarray, ...]]:
         """TCA only (None for CA): the residual each axis was solved on, R0
         first, replayed bit for bit with ``tca_decompose``'s deflation."""
-        if self.method != "TCA":
-            return None
+        return tuple(self._replay()) if self.method == "TCA" else None
+
+    def _replay(self):
+        """Yield each TCA axis's residual in turn, R0 first, and none past the last."""
         r, c = self.model.r, self.model.c
-        residuals = [self.model.R0] if self.axes else []
-        for axis in self.axes[:-1]:
-            residuals.append(_deflate(residuals[-1], r, c, axis))
-        return tuple(residuals)
+        R = self.model.R0
+        for a in range(len(self.axes)):
+            if a:
+                R = _deflate(R, r, c, self.axes[a - 1])
+            yield R
 
     @property
     def sigmas(self) -> np.ndarray:

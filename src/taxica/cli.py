@@ -295,15 +295,15 @@ def _load_table(args) -> ContingencyTable:
     return table
 
 
-def _axes_flag(axes: Optional[int], default: int, top: int, table: ContingencyTable) -> int:
-    """The ``--axes`` value, ``default`` when the flag is absent; a value
-    outside 1..top raises :class:`ValidationError` naming the flag."""
-    if axes is None:
+def _axes_flag(flag: str, value: Optional[int], default: int, top: int, table: ContingencyTable) -> int:
+    """The value of the axis flag ``flag``, ``default`` when it is absent; a
+    value outside 1..top raises :class:`ValidationError` naming the flag."""
+    if value is None:
         return default
-    if not 1 <= axes <= top:
+    if not 1 <= value <= top:
         I, J = table.shape
-        raise ValidationError(f"--axes {axes} out of range 1..{top} for a {I}x{J} table")
-    return axes
+        raise ValidationError(f"{flag} {value} out of range 1..{top} for a {I}x{J} table")
+    return value
 
 
 def _summarize(args, table: ContingencyTable) -> dict:
@@ -340,14 +340,14 @@ def _decompose(table: ContingencyTable, method: str) -> Decomposition:
 
 def _engine(args, table: ContingencyTable) -> dict:
     k_max = min(table.shape) - 1
-    report_axes = _axes_flag(args.axes, k_max, k_max, table)
+    report_axes = _axes_flag("--axes", args.axes, k_max, k_max, table)
     decomp = _decompose(table, args.command)
     return {args.command: _decomposition_payload(decomp, report_axes)}
 
 
 def _compare(args, table: ContingencyTable) -> dict:
     I, J = table.shape
-    axes = _axes_flag(args.axes, 2, min(min(I, J) - 1, MAX_MATCHED_AXES), table)
+    axes = _axes_flag("--axes", args.axes, 2, min(min(I, J) - 1, MAX_MATCHED_AXES), table)
     model = build_model(table)
     d_ca = ca_decompose(model)
     d_tca = tca_decompose(model)
@@ -390,6 +390,8 @@ def _output(args) -> str:
     rendered as text tables."""
     table = _load_table(args)
     if args.command == "plot":
+        for flag, axis in (("--axis-x", args.axis_x), ("--axis-y", args.axis_y)):
+            _axes_flag(flag, axis, axis, min(table.shape) - 1, table)
         return emit_svg_biplot(_decompose(table, args.method), args.axis_x, args.axis_y)
     build, render = _COMMANDS[args.command]
     payload = {"schema": SCHEMA_VERSION, "input": _digest(table), **build(args, table)}

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .ca import Decomposition, _deflate
+from .ca import Decomposition
 from .errors import NumericalError, ValidationError
 from .record import Record, ValueRecord
 
@@ -42,8 +42,6 @@ class ContributionTable(Record):
 
     def __init__(self, method: str, row_values: np.ndarray, col_values: np.ndarray):
         # row_values: I x k, col_values: J x k
-        row_values.setflags(write=False)
-        col_values.setflags(write=False)
         self._set(method, row_values, col_values)
 
 
@@ -266,9 +264,8 @@ def verify(decomp: Decomposition) -> VerificationReport:
                 )
         add("conjugacy", conj, 1e-9)
 
-        # one residual at a time, replayed as in Decomposition.residuals
-        quad, R = 0.0, model.R0
-        for axis in axes:
+        quad = 0.0
+        for axis, R in zip(axes, decomp._replay()):
             u_pos, u_neg = (axis.u + 1.0) / 2.0, (axis.u - 1.0) / 2.0
             v_pos, v_neg = (axis.v + 1.0) / 2.0, (axis.v - 1.0) / 2.0
             quarter = axis.sigma / 4.0
@@ -279,7 +276,6 @@ def verify(decomp: Decomposition) -> VerificationReport:
                 abs(abs(float(v_neg @ R @ u_pos)) - quarter),
                 abs(abs(float(v_pos @ R @ u_neg)) - quarter),
             )
-            R = _deflate(R, r, c, axis)
         add("quadrant-balance", quad, 1e-9)
 
     if decomp.is_full_rank:

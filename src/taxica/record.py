@@ -2,12 +2,16 @@
 
 Each record class lists its fields in ``__slots__``, in constructor order,
 and its ``__init__`` stores them once with :meth:`Record._set`. Assignment
-and deletion raise ``AttributeError`` afterwards. :class:`Record` compares
-and hashes by identity, :class:`ValueRecord` field by field. Building these
-classes runs no generated code, unlike ``dataclasses``, whose decorator
-execs every ``__init__`` and ``__eq__`` at import.
+and deletion raise ``AttributeError`` afterwards. Every ndarray field is
+made read-only, also when ``pickle`` or ``copy`` restores the record.
+:class:`Record` compares and hashes by identity, :class:`ValueRecord` field
+by field. Building these classes runs no generated code, unlike
+``dataclasses``, whose decorator execs every ``__init__`` and ``__eq__`` at
+import.
 """
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = ["Record", "ValueRecord"]
 
@@ -18,8 +22,10 @@ class Record:
     __slots__ = ()
 
     def _set(self, *values) -> None:
-        """Store ``values`` into the fields, in ``__slots__`` order."""
+        """Store ``values`` into the fields, in ``__slots__`` order; ndarrays read-only."""
         for name, value in zip(self.__slots__, values, strict=True):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
@@ -30,8 +36,7 @@ class Record:
 
     def __setstate__(self, state) -> None:
         # pickle and copy hand back (None, {field: value})
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+        self._set(*(state[1][name] for name in self.__slots__))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

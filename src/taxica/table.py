@@ -74,7 +74,6 @@ class ContingencyTable(Record):
             raise NumericalError("table total overflows float64 (n is not finite)")
         if total <= 0.0:
             raise ValidationError("table total is zero (n = 0)")
-        counts.setflags(write=False)
         self._set(row_labels, col_labels, counts, total)
 
     @property
@@ -92,7 +91,7 @@ class ContingencyTable(Record):
 class CorrespondenceModel(Record):
     """Probability matrix, margins and independence residuals of one table.
 
-    Invariants (all enforced at construction):
+    Invariants (established by :func:`build_model`, not checked here):
         * P sums to 1,
         * r and c are the margins of P and strictly positive,
         * every row sum and column sum of R0 is 0 up to 1e-12.
@@ -103,8 +102,6 @@ class CorrespondenceModel(Record):
     def __init__(
         self, table: ContingencyTable, P: np.ndarray, r: np.ndarray, c: np.ndarray, R0: np.ndarray
     ):
-        for arr in (P, r, c, R0):
-            arr.setflags(write=False)
         self._set(table, P, r, c, R0)
 
     @property

@@ -74,9 +74,14 @@ class TcaAxisSolution(Record):
         starts_tried: int,
         converged: bool,
     ):
-        u.setflags(write=False)
-        v.setflags(write=False)
         self._set(u, v, objective, solver, starts_tried, converged)
+
+
+def _solution(R: np.ndarray, u: np.ndarray, solver: str, starts: int) -> TcaAxisSolution:
+    """The solution of sign vector u on R: v = sign(R u) and the objective
+    ||R u||_1, both from one product."""
+    Ru = R @ u
+    return TcaAxisSolution(u, sign_vector(Ru), float(np.abs(Ru).sum()), solver, starts, converged=True)
 
 
 def _enumerate_best(R: np.ndarray) -> tuple[float, np.ndarray, int]:
@@ -141,11 +146,7 @@ def tca_axis_exact(R) -> TcaAxisSolution:
     else:
         _, v_enum, tried = _enumerate_best(R.T)
         u = sign_vector(R.T @ v_enum)
-    v = sign_vector(R @ u)
-    objective = float(np.abs(R @ u).sum())
-    return TcaAxisSolution(
-        u=u, v=v, objective=objective, solver="exact", starts_tried=tried, converged=True
-    )
+    return _solution(R, u, "exact", tried)
 
 
 def _lex_less(u: np.ndarray, w: np.ndarray) -> bool:
@@ -187,14 +188,14 @@ def _rescore_margin(I: int, J: int, abs_total: float) -> float:
     return 2.0 * (I + J + 5) * _EPS * abs_total
 
 
-def _best_end_point(R: np.ndarray, U: np.ndarray, abs_total: float) -> tuple[float, np.ndarray]:
+def _best_end_point(R: np.ndarray, U: np.ndarray, abs_total: float) -> np.ndarray:
     """Best +-1 row u of U: the largest ``float(np.abs(R @ u).sum())``, ties
     going to the lexicographically smallest u.
 
     All rows are scored in one product, as the row sums of |U R'|. Only the
     rows within ``_rescore_margin`` of the best of those are scored again
-    with the per-vector expression, each distinct u once, so the winner and
-    its objective are those of scoring every row alone.
+    with the per-vector expression, each distinct u once, so the winner is
+    that of scoring every row alone.
     """
     approx = np.abs(U @ R.T).sum(axis=1)
     near = (approx >= approx.max() - _rescore_margin(*R.shape, abs_total)).nonzero()[0]
@@ -212,7 +213,7 @@ def _best_end_point(R: np.ndarray, U: np.ndarray, abs_total: float) -> tuple[flo
             or (objective == best_obj and _lex_less(u, best_u))
         ):
             best_obj, best_u = objective, u
-    return best_obj, best_u
+    return best_u
 
 
 def tca_axis_iterative(R) -> TcaAxisSolution:
@@ -270,11 +271,8 @@ def tca_axis_iterative(R) -> TcaAxisSolution:
             U, history = U.compress(keep, axis=0), history.compress(keep, axis=1)
         V = np.where(_guarded_product(U, R.T, tol_v) < 0, -1.0, 1.0)  # v = sign(R u)
 
-    best_obj, best_u = _best_end_point(R, np.concatenate(ends), float(col_abs.sum()))
-    v = sign_vector(R @ best_u)
-    return TcaAxisSolution(
-        u=best_u, v=v, objective=best_obj, solver="iterative", starts_tried=J, converged=True
-    )
+    best_u = _best_end_point(R, np.concatenate(ends), float(col_abs.sum()))
+    return _solution(R, best_u, "iterative", J)
 
 
 def tca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) -> Decomposition:

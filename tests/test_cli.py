@@ -220,6 +220,39 @@ class TestCompareAndVerify:
         assert run_cli([command, "--input", TV]) == 0
         assert built == [(13, 7)]
 
+    def test_compare_table_format(self, capsys):
+        assert run_cli(["compare", "--input", TV, "--format", "table"]) == 0
+        assert capsys.readouterr().out == (
+            "verdict: similar (threshold 0.9)\n"
+            "  CA axis 1 ~ TCA axis 1: phi=0.9972\n"
+            "  CA axis 2 ~ TCA axis 2: phi=0.9918\n"
+        )
+
+    def test_verify_table_format(self, capsys):
+        assert run_cli(["verify", "--input", TV, "--format", "table"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # Most residuals are at the rounding level, so only their format is pinned.
+        heads = [re.sub(r"max_residual=\d\.\d{3}e[-+]\d\d", "max_residual=", line) for line in lines]
+        assert "  axes-ordering     n/a   max_residual=0.000e+00  tol=1e-09" in lines
+        assert heads == [
+            "CA: pass",
+            "  centering         pass  max_residual=  tol=1e-10",
+            "  axes-ordering     pass  max_residual=  tol=1e-09",
+            "  l2-norms          pass  max_residual=  tol=1e-09",
+            "  orthogonality     pass  max_residual=  tol=1e-09",
+            "  transition        pass  max_residual=  tol=1e-09",
+            "  sigma-range       pass  max_residual=  tol=1e-09",
+            "  reconstruction    pass  max_residual=  tol=1e-09",
+            "TCA: pass",
+            "  centering         pass  max_residual=  tol=1e-10",
+            "  axes-ordering     n/a   max_residual=  tol=1e-09",
+            "  l1-norms          pass  max_residual=  tol=1e-09",
+            "  equivariability   pass  max_residual=  tol=1e-09",
+            "  conjugacy         pass  max_residual=  tol=1e-09",
+            "  quadrant-balance  pass  max_residual=  tol=1e-09",
+            "  reconstruction    pass  max_residual=  tol=1e-09",
+        ]
+
     def test_verify_all_checks_pass(self, capsys):
         payload = run_json(capsys, ["verify", "--input", RODENTS])
         assert payload["ca"]["passed"] and payload["tca"]["passed"]
@@ -243,6 +276,29 @@ class TestPlot:
         code = run_cli(["plot", "--input", TV, "--axis-x", "1", "--axis-y", "1"])
         assert code == 2
         assert "distinct" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, axis", [("--axis-x", "0"), ("--axis-y", "60")])
+    def test_axis_outside_the_shape_is_refused_before_decomposing(
+        self, capsys, monkeypatch, tmp_path, flag, axis
+    ):
+        built = []
+
+        def counting_build_model(table):
+            built.append(table.shape)
+            return build_model(table)
+
+        monkeypatch.setattr(cli, "build_model", counting_build_model)
+        path = write_count_table(tmp_path, 80, 48, zeros=0.6, seed=11)
+        assert run_cli(["plot", "--input", path, "--method", "tca", flag, axis]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} {axis} out of range 1..47 for a 80x48 table\n"
+        assert built == []
+
+    def test_axis_beyond_the_rank_is_refused_by_the_biplot(self, capsys):
+        # The toy table is 4x4 of rank 1: axis 2 is within the shape.
+        assert run_cli(["plot", "--input", TOY]) == 2
+        assert capsys.readouterr().err == "error: axis 2 out of range 1..1\n"
 
 
 class TestErrorsAndWarnings:
@@ -513,10 +569,15 @@ WIDE = "<wide 60x44 table>"
 #: did not), so a BLAS Gram gives other bits at 1 thread than at 4.
 THREADED_GRAM = "<97x97 table>"
 
+#: Placeholder for a seeded 400x16 table with 60% zeros: TCA enumerates the
+#: 2^15 sign vectors of each axis in gemm chunks over all 400 rows.
+EXACT_TALL = "<400x16 table>"
+
 #: The writer of each placeholder's table.
 SEEDED_TABLES = {
     WIDE: write_wide_table,
     THREADED_GRAM: lambda directory: write_count_table(directory, 97, 97, zeros=0.6, seed=0),
+    EXACT_TALL: lambda directory: write_count_table(directory, 400, 16, zeros=0.6, seed=0),
 }
 
 
@@ -531,6 +592,8 @@ class TestDeterminism:
             ["tca", "--input", WIDE, "--format", "json"],
             ["compare", "--input", WIDE, "--axes", "8"],
             ["ca", "--input", THREADED_GRAM],
+            ["verify", "--input", THREADED_GRAM],
+            ["tca", "--input", EXACT_TALL],
         ],
     )
     def test_byte_identical_across_processes_and_thread_counts(self, argv, tmp_path):

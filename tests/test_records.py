@@ -1,5 +1,6 @@
 """The record classes: immutable fields, equality by value or by identity,
-their reprs, and pickling."""
+their reprs, and pickling and copying."""
+import copy
 import pickle
 
 import numpy as np
@@ -82,11 +83,15 @@ def test_equality_and_hash(cls):
 def test_pickle_round_trip(cls):
     args, _, by_value = RECORDS[cls]
     record = cls(*args)
-    clone = pickle.loads(pickle.dumps(record))
-    assert type(clone) is cls
-    assert repr(clone) == repr(record)
-    if by_value:
-        assert clone == record
+    for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(clone) is cls
+        assert repr(clone) == repr(record)
+        if by_value:
+            assert clone == record
+        for name in cls.__slots__:
+            value = getattr(clone, name)
+            if isinstance(value, np.ndarray):
+                assert value.flags.writeable is False, name
 
 
 def test_reprs():

@@ -124,7 +124,8 @@ class TestEnumerateBest:
 
 def _ascent_end_points(R):
     """One start at a time: seed v = sign(R e_j), alternate gemv half-steps
-    until a (u, v) state repeats. Returns (objective, u) of every start."""
+    until a (u, v) state repeats. Returns (objective, u, steps) of every
+    start, where steps counts its u half-steps, the last one included."""
     ends = []
     for j in range(R.shape[1]):
         v = sign_vector(R[:, j])
@@ -136,14 +137,14 @@ def _ascent_end_points(R):
             if state in seen:
                 break
             seen.add(state)
-        ends.append((float(np.abs(R @ u).sum()), u))
+        ends.append((float(np.abs(R @ u).sum()), u, len(seen) + 1))
     return ends
 
 
 def _ascent_oracle(R):
     """The best end point of the per-start ascent (ties: lex first u)."""
     best_obj, best_u = None, None
-    for objective, u in _ascent_end_points(R):
+    for objective, u, _ in _ascent_end_points(R):
         if (
             best_u is None
             or objective > best_obj
@@ -215,6 +216,18 @@ class TestAscentOracle:
         assert R0.shape == (21, 24)
         _assert_matches_ascent_oracle(R0)
 
+    def test_ascent_longer_than_the_initial_history(self):
+        # The lockstep ascent keeps 16 steps of u history and doubles it when
+        # a start goes on. The residual of axis 51 of this seeded 120x60
+        # table (60% zeros) has a start that needs 19 steps.
+        rng = np.random.default_rng(2)
+        counts = rng.poisson(6.0, size=(120, 60)) * (rng.random((120, 60)) > 0.6)
+        counts[:, 0] += 1
+        counts[0, :] += 1
+        R = tca_decompose(build_model(make_table(counts)), max_axes=51).residuals[50]
+        assert max(steps for _, _, steps in _ascent_end_points(R)) > 16
+        _assert_matches_ascent_oracle(R)
+
     def test_transposed_and_zero_matrices(self):
         rng = np.random.default_rng(5)
         R = rng.integers(-2, 3, (30, 23)).astype(np.float64)
@@ -238,8 +251,8 @@ class TestAscentOracle:
             base = rng.integers(-1, 2, (25, 14)).astype(np.float64)
             R = np.hstack([base, base[:, rng.integers(0, 14, 8)]])
         ends = _ascent_end_points(R)
-        best = max(objective for objective, _ in ends)
-        tied = {u.tobytes(): u for objective, u in ends if objective == best}
+        best = max(objective for objective, _, _ in ends)
+        tied = {u.tobytes(): u for objective, u, _ in ends if objective == best}
         assert len(tied) >= 2
         negated = all(any((u == -w).all() for w in tied.values()) for u in tied.values())
         assert negated == (case == "counts")
@@ -281,7 +294,7 @@ class TestAscentOracle:
         R = rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-spread, 0, (rows, cols))
         R -= R.mean(axis=0)
         R -= R.mean(axis=1, keepdims=True)
-        ends = np.array([u for _, u in _ascent_end_points(R)])
+        ends = np.array([u for _, u, _ in _ascent_end_points(R)])
         U = np.vstack([ends, np.where(rng.random(ends.shape) < 0.5, -1.0, 1.0)])
         one_product = np.abs(U @ R.T).sum(axis=1)
         per_vector = np.array([float(np.abs(R @ u.copy()).sum()) for u in U])
