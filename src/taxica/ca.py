@@ -41,9 +41,6 @@ class Axis(Record):
 
     __slots__ = ("f", "g", "sigma", "u", "v")
 
-    def __init__(self, f: np.ndarray, g: np.ndarray, sigma: float, u: np.ndarray, v: np.ndarray):
-        self._set(f, g, sigma, u, v)
-
 
 def _deflate(R: np.ndarray, r: np.ndarray, c: np.ndarray, axis: Axis) -> np.ndarray:
     """R less the rank-one term Dr f g' Dc / sigma that ``axis`` carries."""
@@ -53,9 +50,10 @@ def _deflate(R: np.ndarray, r: np.ndarray, c: np.ndarray, axis: Axis) -> np.ndar
 class Decomposition(Record):
     """Axes of a CA or TCA decomposition of one correspondence model.
 
-    Axes appear in extraction order: nonincreasing dispersion for CA, and
-    deflation order for TCA (typically, but provably not always, monotone:
-    the optimum over a deflated residual can exceed the previous axis).
+    ``method`` is "CA" or "TCA". Axes appear in extraction order:
+    nonincreasing dispersion for CA, and deflation order for TCA (typically,
+    but provably not always, monotone: the optimum over a deflated residual
+    can exceed the previous axis).
     ``solutions`` (TCA only) stores per-axis solver metadata.
     ``is_full_rank`` tells whether every numerically nonzero axis is present,
     which is what the data reconstruction identity requires. ``rank_used``
@@ -63,16 +61,7 @@ class Decomposition(Record):
     """
 
     __slots__ = ("method", "axes", "model", "is_full_rank", "solutions")
-
-    def __init__(
-        self,
-        method: str,  # "CA" or "TCA"
-        axes: tuple[Axis, ...],
-        model: CorrespondenceModel,
-        is_full_rank: bool = True,
-        solutions: Optional[tuple] = None,
-    ):
-        self._set(method, axes, model, is_full_rank, solutions)
+    _defaults = {"is_full_rank": True, "solutions": None}
 
     @property
     def rank_used(self) -> int:

@@ -40,19 +40,11 @@ SCHEMA_VERSION = 1
 
 
 def _float_text(token: str) -> str:
-    """JSON text of a float formatted with ``.12g``, for the tokens whose
-    text is not already ``repr(float(token))``: integral values (``-0``
-    included), which repr writes with ``.0``; exponents 12..15, which repr
-    writes positionally; and exponents below -307, where a subnormal has
-    fewer digits than 12. NaN and infinity raise :class:`NumericalError`."""
-    if "e" not in token:
-        if token in ("nan", "inf", "-inf"):
-            raise NumericalError(f"result is not finite: {token}")
-        return token + ".0"
-    exponent = int(token[token.index("e") + 1 :])
-    if 12 <= exponent <= 15 or exponent < -307:
-        return repr(float(token))
-    return token
+    """JSON text of a float formatted with ``.12g``: the repr of the rounded
+    value. NaN and infinity raise :class:`NumericalError`."""
+    if token in ("nan", "inf", "-inf"):
+        raise NumericalError(f"result is not finite: {token}")
+    return repr(float(token))
 
 
 def _floats(values) -> list[str]:
@@ -392,6 +384,8 @@ def _output(args) -> str:
     if args.command == "plot":
         for flag, axis in (("--axis-x", args.axis_x), ("--axis-y", args.axis_y)):
             _axes_flag(flag, axis, axis, min(table.shape) - 1, table)
+        if args.axis_x == args.axis_y:
+            raise ValidationError("a biplot needs two distinct axes")
         return emit_svg_biplot(_decompose(table, args.method), args.axis_x, args.axis_y)
     build, render = _COMMANDS[args.command]
     payload = {"schema": SCHEMA_VERSION, "input": _digest(table), **build(args, table)}

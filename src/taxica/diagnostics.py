@@ -35,36 +35,20 @@ MAX_MATCHED_AXES = 9
 
 
 class ContributionTable(Record):
-    """Per-1000 contributions; rows of each array follow the table's labels,
-    columns follow the decomposition's axes."""
+    """Per-1000 contributions: ``row_values`` is I x k and ``col_values`` is
+    J x k; rows of each array follow the table's labels, columns follow the
+    decomposition's axes."""
 
     __slots__ = ("method", "row_values", "col_values")
-
-    def __init__(self, method: str, row_values: np.ndarray, col_values: np.ndarray):
-        # row_values: I x k, col_values: J x k
-        self._set(method, row_values, col_values)
 
 
 class CheckResult(ValueRecord):
     __slots__ = ("name", "max_residual", "tolerance", "passed", "applicable", "note")
-
-    def __init__(
-        self,
-        name: str,
-        max_residual: float,
-        tolerance: float,
-        passed: bool,
-        applicable: bool = True,
-        note: str = "",
-    ):
-        self._set(name, max_residual, tolerance, passed, applicable, note)
+    _defaults = {"applicable": True, "note": ""}
 
 
 class VerificationReport(ValueRecord):
     __slots__ = ("method", "checks")
-
-    def __init__(self, method: str, checks: tuple[CheckResult, ...]):
-        self._set(method, checks)
 
     @property
     def passed(self) -> bool:
@@ -77,19 +61,11 @@ class SimilarityReport(ValueRecord):
     ``phis[a]`` is the absolute weighted cosine between row coordinates of
     the first decomposition's axis a and its paired axis ``pairing[a]`` of
     the second (0-based); the pairing maximizes total congruence. Congruence
-    is insensitive to per-axis sign flips by construction.
+    is insensitive to per-axis sign flips by construction. ``verdict`` is
+    "similar", "partial" or "dissimilar".
     """
 
     __slots__ = ("phis", "pairing", "verdict", "threshold")
-
-    def __init__(
-        self,
-        phis: tuple[float, ...],
-        pairing: tuple[int, ...],
-        verdict: str,  # "similar", "partial" or "dissimilar"
-        threshold: float,
-    ):
-        self._set(phis, pairing, verdict, threshold)
 
 
 def _require_axes(decomp: Decomposition) -> None:

@@ -1,13 +1,14 @@
 """Immutable records with ``__slots__`` fields.
 
-Each record class lists its fields in ``__slots__``, in constructor order,
-and its ``__init__`` stores them once with :meth:`Record._set`. Assignment
-and deletion raise ``AttributeError`` afterwards. Every ndarray field is
-made read-only, also when ``pickle`` or ``copy`` restores the record.
-:class:`Record` compares and hashes by identity, :class:`ValueRecord` field
-by field. Building these classes runs no generated code, unlike
-``dataclasses``, whose decorator execs every ``__init__`` and ``__eq__`` at
-import.
+Each record class lists its fields in ``__slots__``, in constructor order.
+:meth:`Record.__init__` binds them, positional values first and then the
+rest by name, and stores them once with :meth:`Record._set`; a field left
+out takes its value from the class's ``_defaults``. Assignment and deletion
+raise ``AttributeError`` afterwards. Every ndarray field is made read-only,
+also when ``pickle`` or ``copy`` restores the record. :class:`Record`
+compares and hashes by identity, :class:`ValueRecord` field by field.
+Building these classes runs no generated code, unlike ``dataclasses``, whose
+decorator execs every ``__init__`` and ``__eq__`` at import.
 """
 from __future__ import annotations
 
@@ -20,6 +21,30 @@ class Record:
     """Immutable record, equal only to itself."""
 
     __slots__ = ()
+
+    #: Field values used when the constructor is not given them.
+    _defaults: dict = {}
+
+    def __init__(self, *values, **fields) -> None:
+        """Bind ``values`` to the first fields and ``fields`` by name."""
+        names = self.__slots__
+        if len(values) > len(names):
+            raise TypeError(
+                f"{type(self).__qualname__} takes {len(names)} fields "
+                f"({', '.join(names)}), got {len(values)} values"
+            )
+        values = list(values)
+        for name in names[len(values) :]:
+            if name in fields:
+                values.append(fields.pop(name))
+            elif name in self._defaults:
+                values.append(self._defaults[name])
+            else:
+                raise TypeError(f"{type(self).__qualname__} missing field {name!r}")
+        for name in fields:
+            problem = "given twice" if name in names else "unknown"
+            raise TypeError(f"{type(self).__qualname__} field {name!r} {problem}")
+        self._set(*values)
 
     def _set(self, *values) -> None:
         """Store ``values`` into the fields, in ``__slots__`` order; ndarrays read-only."""

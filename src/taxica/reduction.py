@@ -22,13 +22,10 @@ PROPORTIONAL_TOL = 1e-9
 
 
 class MergeStep(ValueRecord):
-    """One merge of proportional lines; indices refer to the original table."""
+    """One merge of proportional lines; ``axis`` is "row" or "col", and the
+    indices refer to the original table."""
 
     __slots__ = ("axis", "merged_indices", "new_label")
-
-    def __init__(self, axis: str, merged_indices: tuple[int, ...], new_label: str):
-        # axis: "row" or "col"
-        self._set(axis, merged_indices, new_label)
 
 
 class ReductionTrace(Record):
@@ -40,16 +37,6 @@ class ReductionTrace(Record):
     """
 
     __slots__ = ("original", "minimal", "steps", "row_groups", "col_groups")
-
-    def __init__(
-        self,
-        original: ContingencyTable,
-        minimal: ContingencyTable,
-        steps: tuple[MergeStep, ...],
-        row_groups: tuple[tuple[int, ...], ...],
-        col_groups: tuple[tuple[int, ...], ...],
-    ):
-        self._set(original, minimal, steps, row_groups, col_groups)
 
     @property
     def is_already_minimal(self) -> bool:

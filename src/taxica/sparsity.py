@@ -37,9 +37,6 @@ class SparsityLevel(enum.Enum):
 class SparsityClass(ValueRecord):
     __slots__ = ("level", "rationale")
 
-    def __init__(self, level: SparsityLevel, rationale: str):
-        self._set(level, rationale)
-
 
 class SparsitySummary(ValueRecord):
     """7-number sparsity summary of one table.
@@ -50,16 +47,6 @@ class SparsitySummary(ValueRecord):
     """
 
     __slots__ = ("ave", "pct_zero", "mh1", "bound", "size")
-
-    def __init__(
-        self,
-        ave: float,
-        pct_zero: float,
-        mh1: tuple[float, float, float, float, float],
-        bound: float,
-        size: tuple[int, int],
-    ):
-        self._set(ave, pct_zero, mh1, bound, size)
 
 
 def _value_at_depth(sorted_batch: np.ndarray, depth: float) -> float:

@@ -99,11 +99,6 @@ class CorrespondenceModel(Record):
 
     __slots__ = ("table", "P", "r", "c", "R0")
 
-    def __init__(
-        self, table: ContingencyTable, P: np.ndarray, r: np.ndarray, c: np.ndarray, R0: np.ndarray
-    ):
-        self._set(table, P, r, c, R0)
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.P.shape

@@ -59,22 +59,12 @@ class TcaAxisSolution(Record):
     """One solved taxicab axis.
 
     ``objective`` is ||R u||_1, the axis dispersion. ``v`` is sign(R u) with
-    zeros mapped to +1. ``starts_tried`` counts enumerated candidates for the
-    exact solver and restarts for the iterative one.
+    zeros mapped to +1. ``solver`` is "exact" or "iterative". ``starts_tried``
+    counts enumerated candidates for the exact solver and restarts for the
+    iterative one.
     """
 
     __slots__ = ("u", "v", "objective", "solver", "starts_tried", "converged")
-
-    def __init__(
-        self,
-        u: np.ndarray,
-        v: np.ndarray,
-        objective: float,
-        solver: str,  # "exact" or "iterative"
-        starts_tried: int,
-        converged: bool,
-    ):
-        self._set(u, v, objective, solver, starts_tried, converged)
 
 
 def _solution(R: np.ndarray, u: np.ndarray, solver: str, starts: int) -> TcaAxisSolution:

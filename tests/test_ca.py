@@ -64,6 +64,15 @@ class TestSymmetricEigen:
         with pytest.raises(ValidationError, match="not symmetric"):
             symmetric_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValidationError, match="must be square"):
+            symmetric_eigen(np.ones(shape))
+
+    def test_empty_matrix_has_no_eigenpairs(self):
+        lam, V = symmetric_eigen(np.empty((0, 0)))
+        assert lam.shape == (0,) and V.shape == (0, 0)
+
     def test_large_scale_round_off_asymmetry_is_accepted(self):
         # eigenvalues up to 3e6: round-off leaves an asymmetry far above 1e-12
         # in absolute terms but far below it relative to max |A|

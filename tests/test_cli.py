@@ -277,10 +277,9 @@ class TestPlot:
         assert code == 2
         assert "distinct" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, axis", [("--axis-x", "0"), ("--axis-y", "60")])
-    def test_axis_outside_the_shape_is_refused_before_decomposing(
-        self, capsys, monkeypatch, tmp_path, flag, axis
-    ):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The shapes of the tables ``cli.build_model`` is called on."""
         built = []
 
         def counting_build_model(table):
@@ -288,11 +287,33 @@ class TestPlot:
             return build_model(table)
 
         monkeypatch.setattr(cli, "build_model", counting_build_model)
+        return built
+
+    @pytest.mark.parametrize("flag, axis", [("--axis-x", "0"), ("--axis-y", "60")])
+    def test_axis_outside_the_shape_is_refused_before_decomposing(
+        self, capsys, built, tmp_path, flag, axis
+    ):
         path = write_count_table(tmp_path, 80, 48, zeros=0.6, seed=11)
         assert run_cli(["plot", "--input", path, "--method", "tca", flag, axis]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {flag} {axis} out of range 1..47 for a 80x48 table\n"
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "axes, err",
+        [
+            (("2", "2"), "error: a biplot needs two distinct axes\n"),
+            (("48", "48"), "error: --axis-x 48 out of range 1..47 for a 80x48 table\n"),
+        ],
+        ids=["equal", "equal-and-out-of-range"],
+    )
+    def test_equal_axes_are_refused_before_decomposing(self, capsys, built, tmp_path, axes, err):
+        path = write_count_table(tmp_path, 80, 48, zeros=0.6, seed=11)
+        argv = ["plot", "--input", path, "--method", "tca", "--axis-x", axes[0], "--axis-y", axes[1]]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
         assert built == []
 
     def test_axis_beyond_the_rank_is_refused_by_the_biplot(self, capsys):

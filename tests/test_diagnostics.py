@@ -79,6 +79,14 @@ class TestContributions:
         with pytest.raises(ValidationError, match="no axes"):
             contributions(ca_decompose(model))
 
+    @pytest.mark.parametrize("method", ["CA", "TCA"])
+    def test_zero_dispersion_axis_refused(self, tv_table, method):
+        model = build_model(tv_table)
+        I, J = model.shape
+        axis = Axis(np.zeros(I), np.zeros(J), 0.0, np.ones(J), np.ones(I))
+        with pytest.raises(ValidationError, match="zero-dispersion axis"):
+            contributions(Decomposition(method, (axis,), model))
+
 
 class TestExplainedVariation:
     def test_tv_ca_shares(self, tv_ca):

@@ -1,11 +1,15 @@
 """The record classes: immutable fields, equality by value or by identity,
 their reprs, and pickling and copying."""
 import copy
+import importlib
 import pickle
+import pkgutil
+import re
 
 import numpy as np
 import pytest
 
+import taxica
 from taxica import (
     Axis,
     CheckResult,
@@ -23,6 +27,7 @@ from taxica import (
     VerificationReport,
     build_model,
 )
+from taxica.record import Record, ValueRecord
 
 TABLE = ContingencyTable(("a", "b"), ("x", "y"), [[1.0, 2.0], [3.0, 4.0]])
 MODEL = build_model(TABLE)
@@ -50,6 +55,74 @@ RECORDS = {
     SparsitySummary: ((3.5, 25.0, (1.0, 2.0, 3.0, 4.0, 5.0), 50.0, (2, 2)), "size", True),
 }
 IDS = [cls.__name__ for cls in RECORDS]
+#: The record classes built by ``Record.__init__``, which binds their fields.
+BOUND = [cls for cls in RECORDS if cls is not ContingencyTable]
+
+
+def _package_records() -> set[type]:
+    """Every ``Record`` subclass defined in the package, once all of its
+    modules are imported."""
+    for module in pkgutil.iter_modules(taxica.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"taxica.{module.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("taxica.") and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return found
+
+
+def test_only_the_table_has_its_own_constructor():
+    records = _package_records()
+    assert records - {ValueRecord} == set(RECORDS)
+    assert [cls for cls in records if "__init__" in vars(cls)] == [ContingencyTable]
+
+
+def _full_args(cls) -> tuple:
+    """The constructor arguments of ``cls`` in RECORDS, completed by its defaults."""
+    args = RECORDS[cls][0]
+    return args + tuple(cls._defaults[name] for name in cls.__slots__[len(args) :])
+
+
+@pytest.mark.parametrize("cls", BOUND, ids=[cls.__name__ for cls in BOUND])
+def test_fields_bind_by_position_name_or_default(cls):
+    args, full = RECORDS[cls][0], _full_args(cls)
+    names = cls.__slots__
+    by_name = dict(zip(names, full))
+    records = (
+        cls(*full),
+        cls(**by_name),
+        cls(*full[:1], **{name: by_name[name] for name in names[1:]}),
+        cls(*args),
+    )
+    for record in records:
+        assert all(getattr(record, name) is value for name, value in by_name.items())
+
+
+@pytest.mark.parametrize("cls", BOUND, ids=[cls.__name__ for cls in BOUND])
+def test_bad_fields_raise_type_error(cls):
+    full = _full_args(cls)
+    names = cls.__slots__
+    first = names[0]
+    by_name = dict(zip(names, full))
+    del by_name[first]
+    calls = [
+        (lambda: cls(**by_name), f"missing field '{first}'"),
+        (lambda: cls(*full, colour=1), "field 'colour' unknown"),
+        (lambda: cls(*full, **{first: full[0]}), f"field '{first}' given twice"),
+        (lambda: cls(*full, None), re.escape(f"({', '.join(names)}), got {len(names) + 1} values")),
+    ]
+    for call, message in calls:
+        with pytest.raises(TypeError, match=f"^{cls.__qualname__} .*{message}"):
+            call()
+
+
+def test_value_records_of_other_classes_are_unequal():
+    summary = SparsityClass(SparsityLevel.SPARSE, "many zeros")
+    assert CHECK != STEP and not CHECK == summary
+    assert CHECK.__eq__(STEP) is NotImplemented
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)

@@ -43,6 +43,11 @@ class TestProportional:
         with pytest.raises(ValidationError, match="zero-sum"):
             proportional([0, 0], [1, 2])
 
+    @pytest.mark.parametrize("x, y", [([1, 2], [1, 2, 3]), ([[1, 2]], [[1, 2]])])
+    def test_vectors_of_other_shapes_rejected(self, x, y):
+        with pytest.raises(ValidationError, match="one-dimensional and of equal length"):
+            proportional(x, y)
+
 
 class TestReduceToMinimal:
     def test_worked_4x4_example(self, toy_table):

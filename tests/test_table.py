@@ -139,6 +139,18 @@ class TestValidate:
         with pytest.raises(ValidationError, match="negative count"):
             make_table([[1, -2], [3, 4]])
 
+    @pytest.mark.parametrize(
+        "rows, cols, counts, message",
+        [
+            (("a",), ("x",), [1.0], "must be a 2-D matrix"),
+            (("a",), ("x", "y"), [[1.0], [2.0]], r"\(2, 1\) does not match 1 row"),
+            ((), ("x",), np.zeros((0, 1)), "at least one row and one column"),
+        ],
+    )
+    def test_construction_rejects_bad_shapes(self, rows, cols, counts, message):
+        with pytest.raises(ValidationError, match=message):
+            ContingencyTable(rows, cols, counts)
+
     def test_construction_rejects_overflowing_total(self):
         # every count is finite, but their sum exceeds the float64 range
         with pytest.raises(NumericalError, match="not finite"):
