@@ -56,6 +56,19 @@ def _value_at_depth(sorted_batch: np.ndarray, depth: float) -> float:
     return 0.5 * (float(sorted_batch[lo]) + float(sorted_batch[hi]))
 
 
+def _interpolated(sorted_batch: np.ndarray, p: float) -> float:
+    # np.quantile's "linear" rule step for step, so the bits are its bits:
+    # virtual index p (m - 1), then a + (b - a) t, or b - (b - a)(1 - t)
+    # once t >= 0.5. np.quantile itself would import numpy.ma (through
+    # np.unique) on every call.
+    position = (sorted_batch.size - 1) * p
+    lo = int(position)
+    t = position - lo
+    a = float(sorted_batch[lo])
+    b = float(sorted_batch[min(lo + 1, sorted_batch.size - 1)])
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def five_number(batch, method: str = "hinges") -> tuple[float, float, float, float, float]:
     """(min, Q1, median, Q3, max) of a nonempty batch of positive values.
 
@@ -63,14 +76,14 @@ def five_number(batch, method: str = "hinges") -> tuple[float, float, float, flo
     at depth (m+1)/2 of the sorted batch and each hinge at depth
     (floor((m+1)/2) + 1)/2 from its own end, averaging two neighbors when the
     depth is fractional. ``method="interpolated"`` instead interpolates
-    linearly at position 1 + p*(m-1).
+    linearly at position 1 + p*(m-1), with the bits of
+    ``np.quantile(batch, p, method="linear")``.
     """
     xs = np.sort(np.asarray(batch, dtype=np.float64).ravel())
     if xs.size == 0:
         raise ValidationError("five_number of an empty batch")
     if method == "interpolated":
-        q1, med, q3 = np.quantile(xs, [0.25, 0.5, 0.75], method="linear").tolist()
-        return float(xs[0]), q1, med, q3, float(xs[-1])
+        return (float(xs[0]), *(_interpolated(xs, p) for p in (0.25, 0.5, 0.75)), float(xs[-1]))
     if method != "hinges":
         raise ValueError(f"unknown quantile method {method!r}")
     m = xs.size

@@ -66,6 +66,24 @@ def random_tables(count: int, seed: int = 20250811, max_rows: int = 8, max_cols:
     return tables
 
 
+def half_sphere_signs(dim: int) -> np.ndarray:
+    """Every sign vector of length ``dim`` with first component +1, one per
+    column, in lex order (+1 < -1)."""
+    ms = np.arange(1 << (dim - 1))
+    low = 1.0 - 2.0 * ((ms >> np.arange(dim - 2, -1, -1)[:, None]) & 1)
+    return np.vstack([np.ones(ms.size), low])
+
+
+def enumerate_oracle(R):
+    """One-shot sign enumeration: every half-sphere sign vector in one gemm,
+    first argmax. Returns (objective, w, candidates) as
+    ``tca._enumerate_best`` does."""
+    signs = half_sphere_signs(R.shape[1])
+    objs = np.abs(R @ signs).sum(axis=0)
+    i = int(np.argmax(objs))
+    return objs[i], signs[:, i], signs.shape[1]
+
+
 def max_abs_diff_up_to_sign(got, want) -> float:
     """Smallest max-abs difference over a global sign flip of ``got``."""
     got = np.asarray(got, dtype=float)

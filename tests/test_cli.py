@@ -615,6 +615,7 @@ class TestDeterminism:
             ["ca", "--input", THREADED_GRAM],
             ["verify", "--input", THREADED_GRAM],
             ["tca", "--input", EXACT_TALL],
+            ["verify", "--input", EXACT_TALL],
         ],
     )
     def test_byte_identical_across_processes_and_thread_counts(self, argv, tmp_path):
@@ -819,6 +820,40 @@ def test_front_end_imports_no_numpy(argv, code):
     }
     assert "taxica" in imported
     assert sorted(name for name in imported if name.split(".")[0] == "numpy") == []
+
+
+#: One call of each subcommand, with both quantile rules and TCA on a table
+#: whose exact enumeration spans 16 chunks (EXACT_TALL) and on one that
+#: takes the ascent (WIDE).
+CALLS_AFTER_THE_CLI = {
+    "summarize": ["summarize", "--input", TV],
+    "summarize-interpolated": ["summarize", "--input", TV, "--quantile", "interpolated"],
+    "reduce": ["reduce", "--input", RODENTS],
+    "ca": ["ca", "--input", TV],
+    "tca-exact": ["tca", "--input", EXACT_TALL],
+    "tca-ascent": ["tca", "--input", WIDE],
+    "compare": ["compare", "--input", TV],
+    "verify": ["verify", "--input", EXACT_TALL],
+    "plot": ["plot", "--input", TV, "--method", "tca"],
+}
+
+
+@pytest.mark.parametrize("argv", CALLS_AFTER_THE_CLI.values(), ids=list(CALLS_AFTER_THE_CLI))
+def test_no_numpy_module_loads_after_the_cli(argv, tmp_path):
+    # Every numpy module a call needs is loaded with taxica.cli. One loaded
+    # later is a lazy import paid on every such call: np.quantile and
+    # np.unique load numpy.ma, about 14 ms per process.
+    argv = [SEEDED_TABLES[a](tmp_path) if a in SEEDED_TABLES else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "taxica", *argv], capture_output=True, env=cli_env("1")
+    )
+    stderr = proc.stderr.decode(errors="replace")
+    assert proc.returncode == 0, stderr
+    imported = [
+        line.rsplit("|", 1)[1].strip() for line in stderr.splitlines() if line.startswith("import time:")
+    ]
+    late = imported[imported.index("taxica.cli") + 1 :]
+    assert [name for name in late if name.split(".")[0] == "numpy"] == []
 
 
 def test_cli_import_pulls_in_no_xml_or_network_modules():

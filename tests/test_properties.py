@@ -18,7 +18,9 @@ from taxica import (
     verify,
 )
 
-from helpers import make_table
+from taxica.tca import _enumerate_best
+
+from helpers import enumerate_oracle, make_table
 
 
 @st.composite
@@ -66,6 +68,27 @@ def psd_matrices(draw, parity):
     rank = n + 2 if kind == "gram" else draw(st.integers(0, n - 1))
     B = rng.normal(size=(rank, n))
     return B.T @ B
+
+
+@st.composite
+def enumeration_matrices(draw):
+    """Matrices of 12-16 columns, whose sign half-sphere spans one to 16
+    chunks: Gaussian, sparse with centred lines (residual-like), and small
+    integers (exact ties), at unit scale, in float32's subnormal range, or
+    beyond float32's largest value."""
+    rows = draw(st.integers(2, 24))
+    dim = draw(st.integers(12, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gauss", "sparse", "integer"]))
+    if kind == "integer":
+        R = rng.integers(-2, 3, (rows, dim)).astype(np.float64)
+    else:
+        R = rng.normal(size=(rows, dim))
+    if kind == "sparse":
+        R *= rng.random((rows, dim)) < 0.2
+        R -= R.mean(axis=0)
+        R -= R.mean(axis=1, keepdims=True)
+    return R * draw(st.sampled_from([1.0, 1.0, 1e-41, 1e39]))
 
 
 @st.composite
@@ -133,11 +156,34 @@ class TestFiveNumberProperties:
         after = five_number(batch + [max(batch)])
         assert all(b2 >= b1 for b1, b2 in zip(before, after))
 
+    @given(
+        st.lists(
+            st.integers(1, 500) | st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_interpolated_quartiles_are_the_bits_of_np_quantile(self, batch):
+        quartiles = np.quantile(np.sort(batch), [0.25, 0.5, 0.75], method="linear").tolist()
+        assert list(five_number(batch, method="interpolated")[1:4]) == quartiles
+
     @given(positive_batches())
     @settings(max_examples=50, deadline=None)
     def test_order_statistics_are_ordered(self, batch):
         lo, q1, med, q3, hi = five_number(batch)
         assert lo <= q1 <= med <= q3 <= hi
+
+
+class TestEnumerationProperties:
+    @given(enumeration_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_screened_enumeration_matches_the_one_shot_oracle(self, R):
+        objective, w, tried = _enumerate_best(R)
+        expected_objective, expected_w, expected_tried = enumerate_oracle(R)
+        assert objective == expected_objective
+        assert w.tolist() == expected_w.tolist()
+        assert tried == expected_tried
 
 
 class TestProportionalityProperties:

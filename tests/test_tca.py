@@ -17,21 +17,18 @@ from taxica import (
     verify,
 )
 
-from taxica.tca import EXACT_THRESHOLD, _enumerate_best, _lex_less, _rescore_margin, sign_vector
+from taxica.tca import (
+    _ENUM_CHUNK,
+    EXACT_THRESHOLD,
+    _enumerate_best,
+    _lex_less,
+    _rescore_margin,
+    _screen,
+    _sign_blocks,
+    sign_vector,
+)
 
-from helpers import make_table, random_tables
-
-
-def _enumerate_oracle(R):
-    """One-shot enumeration: every half-sphere sign vector in one gemm,
-    lex order (+1 < -1, first component +1), first argmax."""
-    dim = R.shape[1]
-    ms = np.arange(1 << (dim - 1))
-    low = 1.0 - 2.0 * ((ms >> np.arange(dim - 2, -1, -1)[:, None]) & 1)
-    signs = np.vstack([np.ones(ms.size), low])
-    objs = np.abs(R @ signs).sum(axis=0)
-    i = int(np.argmax(objs))
-    return objs[i], signs[:, i], ms.size
+from helpers import enumerate_oracle, half_sphere_signs, make_table, random_tables
 
 
 def _enumeration_case(rows, dim, kind, seed):
@@ -48,6 +45,18 @@ def _enumeration_case(rows, dim, kind, seed):
     elif kind == "zero-columns":
         R[:, rng.choice(dim, size=max(1, dim // 3), replace=False)] = 0.0
     return R
+
+
+#: Inputs both axis solvers refuse, with the refusal they must give. Without
+#: the check, the all-NaN matrix ended in a bare numpy ValueError and the
+#: infinite entry in objective inf with RuntimeWarnings.
+BAD_AXIS_MATRICES = [
+    (np.full((3, 3), np.nan), "non-finite"),
+    ([[1.0, np.inf], [0.0, 1.0]], "non-finite"),
+    (np.zeros(4), "2-D"),
+    (np.zeros((3, 0)), "nonempty"),
+]
+BAD_AXIS_IDS = ["all-nan", "infinite-entry", "vector", "no-columns"]
 
 
 class TestAxisExact:
@@ -81,6 +90,11 @@ class TestAxisExact:
         with pytest.raises(ValidationError, match="threshold"):
             tca_axis_exact(np.zeros((25, 30)))
 
+    @pytest.mark.parametrize("R, match", BAD_AXIS_MATRICES, ids=BAD_AXIS_IDS)
+    def test_refuses_a_matrix_that_is_not_finite_and_2d(self, R, match):
+        with pytest.raises(ValidationError, match=match):
+            tca_axis_exact(R)
+
     def test_sign_invariant_v(self, rodents_table):
         R0 = build_model(rodents_table).R0
         sol = tca_axis_exact(R0)
@@ -102,7 +116,7 @@ class TestEnumerateBest:
     def test_matches_one_shot_oracle(self, rows, dim, kind):
         R = _enumeration_case(rows, dim, kind, seed=1000 * rows + 10 * dim + len(kind))
         objective, w, tried = _enumerate_best(R)
-        expected_objective, expected_w, expected_tried = _enumerate_oracle(R)
+        expected_objective, expected_w, expected_tried = enumerate_oracle(R)
         assert objective == expected_objective
         assert w.tolist() == expected_w.tolist()
         assert tried == expected_tried == 2 ** (dim - 1)
@@ -120,6 +134,96 @@ class TestEnumerateBest:
         objective, w, _ = _enumerate_best(R)
         assert objective == 14.0
         assert w.tolist() == plus.tolist()
+
+    @pytest.mark.parametrize("rows, cols", [(80, 16), (120, 15), (100, 15), (15, 100)])
+    def test_matches_one_shot_oracle_on_workload_residuals(self, rows, cols):
+        # The residuals of the first three axes of a seeded count table with
+        # 80% zeros, at the shapes whose half-sphere spans 8 or 16 chunks.
+        rng = np.random.default_rng(rows * cols)
+        counts = rng.poisson(3.0, (rows, cols)) * (rng.random((rows, cols)) < 0.2)
+        counts[:, 0] += 1
+        counts[0, :] += 1
+        decomp = tca_decompose(build_model(make_table(counts)), max_axes=3)
+        for R in decomp.residuals:
+            R = R if cols <= rows else R.T
+            objective, w, tried = _enumerate_best(R)
+            expected_objective, expected_w, expected_tried = enumerate_oracle(R)
+            assert objective == expected_objective
+            assert w.tolist() == expected_w.tolist()
+            assert tried == expected_tried
+
+    @pytest.mark.parametrize(
+        "scale, screened",
+        [(1.0, True), (1e-41, True), (1e-47, True), (1e37, False), (1e39, False)],
+        ids=["normal", "float32-subnormal", "below-float32", "sum-beyond-float32", "beyond-float32"],
+    )
+    def test_matches_oracle_at_the_edges_of_float32(self, scale, screened):
+        # 1e-41 casts to float32 subnormals with a few bits left, 1e-47 to
+        # zero; at 1e37 the cast is finite but sum|R| is past 2^125, and at
+        # 1e39 the cast overflows, so both are scored in float64 only.
+        R = _enumeration_case(40, 14, "gauss", seed=7) * scale
+        assert (_screen(R, *_sign_blocks(14)) is not None) == screened
+        objective, w, _ = _enumerate_best(R)
+        expected_objective, expected_w, _ = enumerate_oracle(R)
+        assert objective == expected_objective
+        assert w.tolist() == expected_w.tolist()
+
+    def test_subnormal_entries_break_integer_ties(self):
+        # Integer entries tie many candidates exactly; perturbations far
+        # below float32's normal range decide the float64 winner, and are
+        # lost in every float32 sum.
+        rng = np.random.default_rng(8)
+        R = rng.integers(-1, 2, (30, 15)) + 1e-40 * rng.normal(size=(30, 15))
+        objective, w, _ = _enumerate_best(R)
+        expected_objective, expected_w, _ = enumerate_oracle(R)
+        assert objective == expected_objective
+        assert w.tolist() == expected_w.tolist()
+
+    def test_all_zero_matrix_keeps_every_chunk(self):
+        assert _screen(np.zeros((5, 14)), *_sign_blocks(14)) == [
+            (chunk, 0, _ENUM_CHUNK) for chunk in range(4)
+        ]
+        objective, w, tried = _enumerate_best(np.zeros((5, 14)))
+        assert (objective, w.tolist(), tried) == (0.0, [1.0] * 14, 2**13)
+
+    @pytest.mark.parametrize(
+        "seed, scale", [(0, 1.0), (1, 1.0), (7, 1.0), (1, 1e-43), (2, 1e-43), (3, 1e-43)]
+    )
+    def test_near_tie_inside_the_float32_margin(self, seed, scale):
+        # The best two candidates of different windows, 1e-9 apart in
+        # float64: far below float32's resolution. Seeds picked so that a
+        # screen keeping only the float32 maximum picks the wrong one, and
+        # at scale 1e-43 (float32 subnormals of a few bits) also one without
+        # the underflow term of delta32.
+        R, first, second = _near_tie(seed)
+        R *= scale
+        runs = _screen(R, *_sign_blocks(14))
+        kept = {chunk * _ENUM_CHUNK + m for chunk, start, stop in runs for m in range(start, stop)}
+        assert {first, second} <= kept
+        objective, w, _ = _enumerate_best(R)
+        expected_objective, expected_w, _ = enumerate_oracle(R)
+        assert objective == expected_objective
+        assert w.tolist() == expected_w.tolist()
+
+
+def _near_tie(seed, rows=60, dim=14, gap=1e-9):
+    """A Gaussian R whose best candidate ``first`` and the best candidate
+    ``second`` outside its window of 64 differ by ``gap`` relative: one entry
+    in a row where both have the same sign, and a column where they differ,
+    moves the gap by twice its change."""
+    rng = np.random.default_rng(seed)
+    R = rng.normal(size=(rows, dim))
+    signs = half_sphere_signs(dim)
+    scores = np.abs(R @ signs).sum(axis=0)
+    first = int(np.argmax(scores))
+    window = np.arange(scores.size) // 64
+    second = int(np.argmax(np.where(window == first // 64, -np.inf, scores)))
+    w1, w2 = signs[:, first], signs[:, second]
+    j = int(np.flatnonzero(w1 != w2)[0])
+    s1 = np.sign(R @ w1)
+    i = int(np.flatnonzero(s1 == np.sign(R @ w2))[0])
+    R[i, j] -= (scores[first] - scores[second] - gap * scores[first]) / (2 * w1[j] * s1[i])
+    return R, first, second
 
 
 def _ascent_end_points(R):
@@ -327,6 +431,11 @@ class TestAxisIterative:
             assert heuristic.objective == pytest.approx(exact.objective, abs=1e-12)
             if expected is not None:
                 assert heuristic.objective == pytest.approx(expected, abs=1e-3)
+
+    @pytest.mark.parametrize("R, match", BAD_AXIS_MATRICES, ids=BAD_AXIS_IDS)
+    def test_refuses_a_matrix_that_is_not_finite_and_2d(self, R, match):
+        with pytest.raises(ValidationError, match=match):
+            tca_axis_iterative(R)
 
     def test_never_exceeds_exact(self):
         for table in random_tables(30, seed=1234):
