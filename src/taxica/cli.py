@@ -9,6 +9,7 @@ which parses argv before this module (and numpy) loads.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
@@ -340,6 +341,8 @@ def _engine(args, table: ContingencyTable) -> dict:
 def _compare(args, table: ContingencyTable) -> dict:
     I, J = table.shape
     axes = _axes_flag("--axes", args.axes, 2, min(min(I, J) - 1, MAX_MATCHED_AXES), table)
+    if not math.isfinite(args.phi_threshold):
+        raise ValidationError(f"--phi-threshold {args.phi_threshold} is not finite")
     model = build_model(table)
     d_ca = ca_decompose(model)
     d_tca = tca_decompose(model)

@@ -192,7 +192,8 @@ def apply_grouping(table: ContingencyTable, row_groups, col_groups) -> Contingen
     """Re-apply a saved partition, summing each group into one line.
 
     Both arguments must partition the row and column index ranges exactly;
-    overlapping or incomplete partitions raise :class:`ValidationError`.
+    overlapping or incomplete partitions, and empty groups, raise
+    :class:`ValidationError`.
     """
     I, J = table.shape
     row_groups = [sorted(int(i) for i in g) for g in row_groups]
@@ -201,6 +202,8 @@ def apply_grouping(table: ContingencyTable, row_groups, col_groups) -> Contingen
         flat = sorted(i for g in groups for i in g)
         if flat != list(range(size)):
             raise ValidationError(f"{name} groups are not a partition of 0..{size - 1}")
+        if [] in groups:
+            raise ValidationError(f"{name} group {groups.index([])} is empty")
     grouped_rows = np.array([table.counts[g].sum(axis=0) for g in row_groups])
     grouped = np.array([grouped_rows[:, g].sum(axis=1) for g in col_groups]).T
     return ContingencyTable(

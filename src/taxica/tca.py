@@ -108,13 +108,13 @@ def _enumerate_best(R: np.ndarray) -> tuple[float, np.ndarray, int]:
     the same when a run of columns of the chunk is scored alone.
 
     A half-sphere of more than one chunk is first screened in float32 (see
-    ``_screen``), and only the runs of ``_SCREEN_WINDOW`` candidates that
+    ``_screen``), and only the windows of ``_SCREEN_WINDOW`` candidates that
     hold a candidate which can be the float64 maximum are scored in float64,
-    in ascending m. Let delta32 and delta64 bound how far the float32 and
-    the float64 score of any candidate lie from its exact ||R w||_1. The
-    float64 winner w* then has a float32 score of at least
-    ||R w*||_1 - delta32 >= (float64 score of w*) - delta64 - delta32, and
-    the float32 winner d scores at most ||R d||_1 + delta32 <=
+    one run per window, in ascending m. Let delta32 and delta64 bound how
+    far the float32 and the float64 score of any candidate lie from its
+    exact ||R w||_1. The float64 winner w* then has a float32 score of at
+    least ||R w*||_1 - delta32 >= (float64 score of w*) - delta64 - delta32,
+    and the float32 winner d scores at most ||R d||_1 + delta32 <=
     (float64 score of d) + delta64 + delta32, which is at most that of w*
     plus delta64 + delta32. So w* is kept by every screen that keeps the
     candidates within 2 (delta32 + delta64) of the float32 maximum, the
@@ -130,6 +130,11 @@ def _enumerate_best(R: np.ndarray) -> tuple[float, np.ndarray, int]:
     runs = _screen(R, low_signs, chunk_signs) if chunks > 1 else None
     if runs is None:
         runs = [(chunk, 0, width) for chunk in range(chunks)]
+    # Whole-chunk sized although a screened axis scores one or two windows:
+    # freeing a block this large raises glibc's dynamic mmap threshold above
+    # the I x width float32 blocks of _screen, so later axes take those from
+    # the heap instead of fresh pages (at 100x15, a window-sized buf costs
+    # 368 minor page faults per call from the third call on, this one none).
     buf = np.empty(I * width)
     objs = np.empty(width)
     best_obj = -np.inf
@@ -174,9 +179,9 @@ def _gamma32(n: int) -> float:
 
 
 def _screen(R: np.ndarray, low_signs: np.ndarray, chunk_signs: np.ndarray):
-    """The runs (chunk, start, stop) of sign columns that a float32 pass
-    cannot rule out as the float64 maximum of ``_enumerate_best``, in
-    ascending m; None when float32 cannot bound R.
+    """The windows (chunk, start, stop) of ``_SCREEN_WINDOW`` sign columns
+    that a float32 pass cannot rule out as the float64 maximum of
+    ``_enumerate_best``, in ascending m; None when float32 cannot bound R.
 
     R is cast to float32 once. Per axis, L = ``R32[:, high:] @ low_signs``
     and H = ``R32[:, :high] @ chunk_signs`` are formed once, and candidate
@@ -214,8 +219,8 @@ def _screen(R: np.ndarray, low_signs: np.ndarray, chunk_signs: np.ndarray):
     (this includes every R whose float32 cast is not finite), since a
     float32 value, up to about 4 A, could then overflow, or when
     delta32 is not finite (n u or I u reaching 1). A kept candidate keeps
-    the window of ``_SCREEN_WINDOW`` candidates around it, and adjacent kept
-    windows of one chunk merge into one run.
+    the aligned window of ``_SCREEN_WINDOW`` candidates that holds it, and
+    each kept window is its own run.
     """
     I, n = R.shape
     abs_total = float(np.abs(R).sum())
@@ -246,13 +251,11 @@ def _screen(R: np.ndarray, low_signs: np.ndarray, chunk_signs: np.ndarray):
     objs += (ones @ high_part)[:, None]
     # a float64 threshold, so the float32 scores are compared exactly
     threshold = np.float64(float(objs.max()) - 2.0 * delta32 - _rescore_margin(I, n, abs_total))
-    windows = width // _SCREEN_WINDOW
-    kept = np.zeros((chunks, windows + 1), dtype=np.bool_)  # a False column ends each chunk
-    kept[:, :windows] = (objs >= threshold).reshape(chunks, windows, _SCREEN_WINDOW).any(axis=2)
-    edges = np.flatnonzero(np.diff(kept.ravel(), prepend=False)).reshape(-1, 2)
-    chunk, first = np.divmod(edges[:, 0], windows + 1)
-    last = edges[:, 1] - chunk * (windows + 1)
-    return list(zip(chunk.tolist(), (first * _SCREEN_WINDOW).tolist(), (last * _SCREEN_WINDOW).tolist()))
+    kept = (objs >= threshold).reshape(chunks, width // _SCREEN_WINDOW, _SCREEN_WINDOW).any(axis=2)
+    return [
+        (chunk, window * _SCREEN_WINDOW, (window + 1) * _SCREEN_WINDOW)
+        for chunk, window in np.argwhere(kept).tolist()
+    ]
 
 
 def tca_axis_exact(R) -> TcaAxisSolution:
@@ -278,12 +281,6 @@ def tca_axis_exact(R) -> TcaAxisSolution:
         _, v_enum, tried = _enumerate_best(R.T)
         u = sign_vector(R.T @ v_enum)
     return _solution(R, u, "exact", tried)
-
-
-def _lex_less(u: np.ndarray, w: np.ndarray) -> bool:
-    """Whether sign vector u precedes w lexicographically, +1 before -1."""
-    diff = np.flatnonzero(u != w)
-    return diff.size > 0 and u[diff[0]] > 0
 
 
 def _guarded_product(X: np.ndarray, M: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -321,30 +318,20 @@ def _rescore_margin(I: int, J: int, abs_total: float) -> float:
 
 def _best_end_point(R: np.ndarray, U: np.ndarray, abs_total: float) -> np.ndarray:
     """Best +-1 row u of U: the largest ``float(np.abs(R @ u).sum())``, ties
-    going to the lexicographically smallest u.
+    going to the lexicographically smallest u (+1 before -1), the rule
+    ``_enumerate_best`` applies.
 
-    All rows are scored in one product, as the row sums of |U R'|. Only the
-    rows within ``_rescore_margin`` of the best of those are scored again
-    with the per-vector expression, each distinct u once, so the winner is
-    that of scoring every row alone.
+    All rows are scored in one product, as the row sums of |U R'|. The
+    distinct rows within ``_rescore_margin`` of the best of those are sorted
+    by their bytes and scored again with the per-vector expression, and the
+    first maximum wins, so the winner is that of scoring every row alone.
     """
     approx = np.abs(U @ R.T).sum(axis=1)
-    near = (approx >= approx.max() - _rescore_margin(*R.shape, abs_total)).nonzero()[0]
-    best_obj, best_u = None, None
-    scored: set[bytes] = set()
-    for i in near:
-        if U[i].tobytes() in scored:
-            continue  # an equal u scores equal and never displaces the best
-        scored.add(U[i].tobytes())
-        u = U[i].copy()
-        objective = float(np.abs(R @ u).sum())
-        if (
-            best_u is None
-            or objective > best_obj
-            or (objective == best_obj and _lex_less(u, best_u))
-        ):
-            best_obj, best_u = objective, u
-    return best_u
+    near = U[approx >= approx.max() - _rescore_margin(*R.shape, abs_total)]
+    # +1.0 and -1.0 differ only in the sign-bit byte, so bytes sort +1 first
+    keys = sorted({u.tobytes() for u in near})
+    objectives = [float(np.abs(R @ np.frombuffer(key)).sum()) for key in keys]
+    return np.frombuffer(keys[objectives.index(max(objectives))]).copy()
 
 
 def tca_axis_iterative(R) -> TcaAxisSolution:
@@ -354,9 +341,9 @@ def tca_axis_iterative(R) -> TcaAxisSolution:
     v = sign(R u); the objective never decreases and the state space is
     finite, so every start stops at its first (u, v) state that repeats any
     earlier one, keeping that u. The best fixed point over all J starts is
-    returned, ties going to the lexicographically smallest u (see
-    ``_best_end_point``). The result is a lower bound for the exact
-    objective.
+    returned, ties going to the lexicographically smallest u, as in the
+    exact enumeration (see ``_best_end_point``). The result is a lower bound
+    for the exact objective.
 
     All starts advance in lockstep, one gemm per half-step, and a start
     leaves the batch once it stops. Each entry of M x over a +-1 vector x
@@ -401,7 +388,7 @@ def tca_axis_iterative(R) -> TcaAxisSolution:
                 break
             keep = ~done
             U, history = U.compress(keep, axis=0), history.compress(keep, axis=1)
-        V = np.where(_guarded_product(U, R.T, tol_v) < 0, -1.0, 1.0)  # v = sign(R u)
+        V = sign_vector(_guarded_product(U, R.T, tol_v))  # v = sign(R u)
 
     best_u = _best_end_point(R, np.concatenate(ends), float(col_abs.sum()))
     return _solution(R, best_u, "iterative", J)
@@ -462,9 +449,11 @@ def cut_norm_bruteforce(R) -> float:
 
     Enumerates all subsets T of the smaller dimension; for fixed T the best S
     simply collects the positive (or the negative) partial sums, so the whole
-    search is exact at 2^min(I,J) candidates instead of 2^(I+J).
+    search is exact at 2^min(I,J) candidates instead of 2^(I+J). Raises
+    :class:`ValidationError` unless R is a finite nonempty 2-D matrix with
+    min(I, J) at most ``CUT_NORM_MAX_DIM``.
     """
-    R = np.asarray(R, dtype=np.float64)
+    R = _axis_matrix(R)
     I, J = R.shape
     if min(I, J) > CUT_NORM_MAX_DIM:
         raise ValidationError(

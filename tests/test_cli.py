@@ -27,6 +27,19 @@ TV = str(DATA_DIR / "tv_programs.csv")
 RODENTS = str(DATA_DIR / "rodents.csv")
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The shapes of the tables ``cli.build_model`` is called on."""
+    built = []
+
+    def counting_build_model(table):
+        built.append(table.shape)
+        return build_model(table)
+
+    monkeypatch.setattr(cli, "build_model", counting_build_model)
+    return built
+
+
 def run_json(capsys, argv):
     code = run_cli(argv)
     out = capsys.readouterr().out
@@ -193,30 +206,25 @@ class TestCompareAndVerify:
         [((80, 48), "0", 9), ((80, 48), "10", 9), ((80, 48), "48", 9), ((13, 7), "7", 6)],
     )
     def test_axes_outside_the_shape_are_refused_before_decomposing(
-        self, capsys, monkeypatch, tmp_path, shape, axes, top
+        self, capsys, built, tmp_path, shape, axes, top
     ):
         path = TV if shape == (13, 7) else write_count_table(tmp_path, *shape, zeros=0.75, seed=11)
-        built = []
-
-        def counting_build_model(table):
-            built.append(table.shape)
-            return build_model(table)
-
-        monkeypatch.setattr(cli, "build_model", counting_build_model)
         assert run_cli(["compare", "--input", path, "--axes", axes]) == 2
         I, J = shape
         assert capsys.readouterr().err == f"error: --axes {axes} out of range 1..{top} for a {I}x{J} table\n"
         assert built == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_phi_threshold_is_refused_before_decomposing(
+        self, capsys, built, tmp_path, value
+    ):
+        path = write_count_table(tmp_path, 80, 48, zeros=0.6, seed=11)
+        assert run_cli(["compare", "--input", path, "--phi-threshold", value]) == 2
+        assert capsys.readouterr() == ("", f"error: --phi-threshold {value} is not finite\n")
+        assert built == []
+
     @pytest.mark.parametrize("command", ["compare", "verify"])
-    def test_both_methods_share_one_model(self, capsys, monkeypatch, command):
-        built = []
-
-        def counting_build_model(table):
-            built.append(table.shape)
-            return build_model(table)
-
-        monkeypatch.setattr(cli, "build_model", counting_build_model)
+    def test_both_methods_share_one_model(self, capsys, built, command):
         assert run_cli([command, "--input", TV]) == 0
         assert built == [(13, 7)]
 
@@ -276,18 +284,6 @@ class TestPlot:
         code = run_cli(["plot", "--input", TV, "--axis-x", "1", "--axis-y", "1"])
         assert code == 2
         assert "distinct" in capsys.readouterr().err
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """The shapes of the tables ``cli.build_model`` is called on."""
-        built = []
-
-        def counting_build_model(table):
-            built.append(table.shape)
-            return build_model(table)
-
-        monkeypatch.setattr(cli, "build_model", counting_build_model)
-        return built
 
     @pytest.mark.parametrize("flag, axis", [("--axis-x", "0"), ("--axis-y", "60")])
     def test_axis_outside_the_shape_is_refused_before_decomposing(
@@ -668,19 +664,6 @@ def in_process_stdout(capsys, argv) -> bytes:
     return capsys.readouterr().out.encode("utf-8")
 
 
-def write_table(directory, rows: int, cols: int, seed: int) -> str:
-    """A seeded Poisson count table with about 30% zeros and positive margins."""
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(6.0, size=(rows, cols)) * (rng.random((rows, cols)) > 0.3)
-    counts[:, 0] += 1
-    counts[0, :] += 1
-    lines = ["," + ",".join(f"c{j}" for j in range(cols))]
-    lines += [f"r{i}," + ",".join(str(v) for v in row) for i, row in enumerate(counts)]
-    path = directory / f"table_{rows}x{cols}.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return str(path)
-
-
 class TestProcessExit:
     """The command writes and flushes its output, then ends with ``os._exit``."""
 
@@ -692,7 +675,8 @@ class TestProcessExit:
         assert proc.stdout == expected
 
     def test_piped_output_beyond_a_pipe_buffer_is_complete(self, capsys, tmp_path):
-        argv = ["tca", "--input", write_table(tmp_path, 80, 48, seed=48), "--format", "json"]
+        path = write_count_table(tmp_path, 80, 48, zeros=0.3, seed=48)
+        argv = ["tca", "--input", path, "--format", "json"]
         expected = in_process_stdout(capsys, argv)
         assert len(expected) > 1 << 16
         proc = run_taxica(*argv)
@@ -700,7 +684,8 @@ class TestProcessExit:
         assert proc.stdout == expected
 
     def test_output_file_is_complete(self, capsys, tmp_path):
-        argv = ["ca", "--input", write_table(tmp_path, 80, 48, seed=48), "--format", "json"]
+        path = write_count_table(tmp_path, 80, 48, zeros=0.3, seed=48)
+        argv = ["ca", "--input", path, "--format", "json"]
         expected = in_process_stdout(capsys, argv)
         out_path = tmp_path / "ca.json"
         proc = run_taxica(*argv, "--output", str(out_path))
@@ -717,7 +702,8 @@ class TestProcessExit:
         if output == "small":
             argv = ["summarize", "--input", TV]
         elif output == "large":
-            argv = ["tca", "--input", write_table(tmp_path, 80, 48, seed=48), "--format", "json"]
+            path = write_count_table(tmp_path, 80, 48, zeros=0.3, seed=48)
+            argv = ["tca", "--input", path, "--format", "json"]
         else:
             argv = ["tca", "--help"] if output == "tca-help" else ["--help"]
         env = cli_env("1")

@@ -293,3 +293,16 @@ class TestApplyGrouping:
     def test_incomplete_partition_rejected(self, toy_table):
         with pytest.raises(ValidationError, match="not a partition"):
             apply_grouping(toy_table, [(0, 1)], [(j,) for j in range(4)])
+
+    @pytest.mark.parametrize(
+        "row_groups, col_groups, match",
+        [
+            ([(0, 1), (), (2, 3)], [(j,) for j in range(4)], "row group 1 is empty"),
+            ([(i,) for i in range(4)], [(0, 1, 2, 3), ()], "column group 1 is empty"),
+        ],
+        ids=["row", "column"],
+    )
+    def test_empty_group_rejected(self, toy_table, row_groups, col_groups, match):
+        # the index ranges are covered exactly, so only the empty group is wrong
+        with pytest.raises(ValidationError, match=match):
+            apply_grouping(toy_table, row_groups, col_groups)

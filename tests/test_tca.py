@@ -1,3 +1,6 @@
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,16 +22,16 @@ from taxica import (
 
 from taxica.tca import (
     _ENUM_CHUNK,
+    _SCREEN_WINDOW,
     EXACT_THRESHOLD,
     _enumerate_best,
-    _lex_less,
     _rescore_margin,
     _screen,
     _sign_blocks,
     sign_vector,
 )
 
-from helpers import enumerate_oracle, half_sphere_signs, make_table, random_tables
+from helpers import cli_env, enumerate_oracle, half_sphere_signs, make_table, random_tables
 
 
 def _enumeration_case(rows, dim, kind, seed):
@@ -47,9 +50,12 @@ def _enumeration_case(rows, dim, kind, seed):
     return R
 
 
-#: Inputs both axis solvers refuse, with the refusal they must give. Without
-#: the check, the all-NaN matrix ended in a bare numpy ValueError and the
-#: infinite entry in objective inf with RuntimeWarnings.
+#: Inputs both axis solvers and the cut-norm oracle refuse, with the refusal
+#: they must give. Without the check, the all-NaN matrix ended in a bare
+#: numpy ValueError and the infinite entry in objective inf with
+#: RuntimeWarnings. ``cut_norm_bruteforce`` returned 0.0 for the all-NaN
+#: matrix and for no columns, inf with a RuntimeWarning for the infinite
+#: entry, and a bare ValueError for the vector.
 BAD_AXIS_MATRICES = [
     (np.full((3, 3), np.nan), "non-finite"),
     ([[1.0, np.inf], [0.0, 1.0]], "non-finite"),
@@ -180,8 +186,10 @@ class TestEnumerateBest:
         assert w.tolist() == expected_w.tolist()
 
     def test_all_zero_matrix_keeps_every_chunk(self):
+        # every window of the 4 chunks, each as its own run
+        windows = range(0, _ENUM_CHUNK, _SCREEN_WINDOW)
         assert _screen(np.zeros((5, 14)), *_sign_blocks(14)) == [
-            (chunk, 0, _ENUM_CHUNK) for chunk in range(4)
+            (chunk, start, start + _SCREEN_WINDOW) for chunk in range(4) for start in windows
         ]
         objective, w, tried = _enumerate_best(np.zeros((5, 14)))
         assert (objective, w.tolist(), tried) == (0.0, [1.0] * 14, 2**13)
@@ -198,12 +206,51 @@ class TestEnumerateBest:
         R, first, second = _near_tie(seed)
         R *= scale
         runs = _screen(R, *_sign_blocks(14))
+        assert all(stop - start == _SCREEN_WINDOW for _, start, stop in runs)
         kept = {chunk * _ENUM_CHUNK + m for chunk, start, stop in runs for m in range(start, stop)}
         assert {first, second} <= kept
         objective, w, _ = _enumerate_best(R)
         expected_objective, expected_w, _ = enumerate_oracle(R)
         assert objective == expected_objective
         assert w.tolist() == expected_w.tolist()
+
+
+#: Child process for the page-fault test: three exact axes of one seeded
+#: 100x15 residual, printing the minor page faults of the third.
+THIRD_CALL_FAULTS = """
+import resource
+import numpy as np
+from taxica import ContingencyTable, build_model
+from taxica.tca import _enumerate_best
+rng = np.random.default_rng(1500)
+counts = rng.poisson(3.0, (100, 15)) * (rng.random((100, 15)) < 0.2)
+counts[:, 0] += 1
+counts[0, :] += 1
+labels = [f"r{i}" for i in range(100)], [f"c{j}" for j in range(15)]
+R = build_model(ContingencyTable(*labels, counts.astype(float))).R0
+_enumerate_best(R)
+_enumerate_best(R)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+_enumerate_best(R)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="pins glibc's dynamic mmap threshold",
+)
+def test_screened_axes_reuse_heap_blocks():
+    # _enumerate_best's whole-chunk float64 buffer raises glibc's mmap
+    # threshold when freed, so the float32 blocks of _screen come from the
+    # heap from the third call on; with a window-sized buffer each call
+    # mapped fresh pages (368 minor faults). A fresh process, since blocks
+    # left by other tests would hide the difference.
+    proc = subprocess.run(
+        [sys.executable, "-c", THIRD_CALL_FAULTS], capture_output=True, env=cli_env("1")
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert int(proc.stdout) == 0
 
 
 def _near_tie(seed, rows=60, dim=14, gap=1e-9):
@@ -246,16 +293,10 @@ def _ascent_end_points(R):
 
 
 def _ascent_oracle(R):
-    """The best end point of the per-start ascent (ties: lex first u)."""
-    best_obj, best_u = None, None
-    for objective, u, _ in _ascent_end_points(R):
-        if (
-            best_u is None
-            or objective > best_obj
-            or (objective == best_obj and _lex_less(u, best_u))
-        ):
-            best_obj, best_u = objective, u
-    return best_obj, best_u
+    """The best end point of the per-start ascent (ties: lex first u, +1
+    before -1, which is the largest u as a list of numbers)."""
+    objective, u, _ = max(_ascent_end_points(R), key=lambda end: (end[0], end[1].tolist()))
+    return objective, u
 
 
 def _assert_matches_ascent_oracle(R):
@@ -592,6 +633,11 @@ class TestCutNorm:
     def test_dimension_cap(self):
         with pytest.raises(ValidationError, match="limited"):
             cut_norm_bruteforce(np.zeros((16, 16)))
+
+    @pytest.mark.parametrize("R, match", BAD_AXIS_MATRICES, ids=BAD_AXIS_IDS)
+    def test_refuses_a_matrix_that_is_not_finite_and_2d(self, R, match):
+        with pytest.raises(ValidationError, match=match):
+            cut_norm_bruteforce(R)
 
 
 class TestDiagonalSigma1:
