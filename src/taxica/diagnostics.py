@@ -73,6 +73,22 @@ def _require_axes(decomp: Decomposition) -> None:
         raise ValidationError("decomposition has no axes (all dispersions zero)")
 
 
+def _columns(decomp: Decomposition, field: str) -> np.ndarray:
+    """Every axis's ``field`` vector as one column: I x k for f, v; J x k for g, u."""
+    n = decomp.model.shape[field in ("g", "u")]
+    return np.array([getattr(axis, field) for axis in decomp.axes]).reshape(-1, n).T
+
+
+def _side_masses(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The w-weighted sums of each column's positive (row 0) and negative (row 1) entries."""
+    return np.array([np.einsum("i,ia->a", w, np.where(keep, X, 0.0)) for keep in (X > 0, X < 0)])
+
+
+def _max_abs(*residuals: np.ndarray) -> float:
+    """Largest |entry| over all the arrays, 0.0 if they are empty; NaN propagates."""
+    return float(np.max([np.max(np.abs(x), initial=0.0) for x in residuals], initial=0.0))
+
+
 def contributions(decomp: Decomposition) -> ContributionTable:
     """Per-1000 contributions of every row and column to every axis.
 
@@ -80,21 +96,18 @@ def contributions(decomp: Decomposition) -> ContributionTable:
     TCA: SC(i) = 1000 r_i f_i / sigma, keeping the side of the axis.
     """
     _require_axes(decomp)
-    r, c = decomp.model.r, decomp.model.c
-    rows, cols = [], []
-    for axis in decomp.axes:
-        if axis.sigma <= 0:
-            raise ValidationError("contributions are undefined for a zero-dispersion axis")
-        if decomp.method == "CA":
-            rows.append(1000.0 * r * axis.f**2 / axis.sigma**2)
-            cols.append(1000.0 * c * axis.g**2 / axis.sigma**2)
-        else:
-            rows.append(1000.0 * r * axis.f / axis.sigma)
-            cols.append(1000.0 * c * axis.g / axis.sigma)
+    if np.any(decomp.sigmas <= 0):
+        raise ValidationError("contributions are undefined for a zero-dispersion axis")
+    F, G, sig = _columns(decomp, "f"), _columns(decomp, "g"), decomp.sigmas
+    if decomp.method == "CA":
+        # Python's float power, not x * x: the two differ in the last bit
+        # for about one value in a thousand, and these digits are printed.
+        F, G, sig = F**2, G**2, np.array([axis.sigma**2 for axis in decomp.axes])
+    r, c = decomp.model.r[:, None], decomp.model.c[:, None]
     return ContributionTable(
         method=decomp.method,
-        row_values=np.array(rows).T,
-        col_values=np.array(cols).T,
+        row_values=1000.0 * r * F / sig,
+        col_values=1000.0 * c * G / sig,
     )
 
 
@@ -122,22 +135,9 @@ def ca_balance(decomp: Decomposition) -> list[tuple[float, float]]:
     since CA ties neither to the dispersion.
     """
     _require_axes(decomp)
-    r, c = decomp.model.r, decomp.model.c
-    out = []
-    for axis in decomp.axes:
-        a = float(np.sum(r[axis.f > 0] * axis.f[axis.f > 0]))
-        b = float(np.sum(c[axis.g > 0] * axis.g[axis.g > 0]))
-        out.append((a, b))
-    return out
-
-
-def _reconstruction_residual(decomp: Decomposition) -> float:
-    model = decomp.model
-    expansion = np.ones_like(model.P)
-    for axis in decomp.axes:
-        expansion = expansion + np.outer(axis.f, axis.g) / axis.sigma
-    p_hat = np.outer(model.r, model.c) * expansion
-    return float(np.max(np.abs(model.P - p_hat)))
+    a = _side_masses(decomp.model.r, _columns(decomp, "f"))[0]
+    b = _side_masses(decomp.model.c, _columns(decomp, "g"))[0]
+    return list(zip(a.tolist(), b.tolist()))
 
 
 def verify(decomp: Decomposition) -> VerificationReport:
@@ -146,11 +146,18 @@ def verify(decomp: Decomposition) -> VerificationReport:
     Failures are report entries, never exceptions. The reconstruction
     identity needs every numerically nonzero axis, so it is marked not
     applicable on truncated decompositions.
+
+    Each identity is checked over all axes at once, with the axes' f, g, u,
+    v as the columns of F, G, U, V. CA: the diagonal of the Grams F' Dr F
+    and G' Dc G checks the l2-norms, their strict upper triangle
+    orthogonality. TCA: the strict lower triangle of F' Dr V and G' Dc U
+    checks conjugacy, axis a against the sign vectors of each earlier axis
+    b < a. Every product is an ``np.einsum``, which sums in an order fixed
+    by numpy, not by the BLAS kernel or thread count.
     """
-    model = decomp.model
-    r, c = model.r, model.c
-    axes = decomp.axes
+    P, r, c = decomp.model.P, decomp.model.r, decomp.model.c
     sig = decomp.sigmas
+    F, G = _columns(decomp, "f"), _columns(decomp, "g")
     checks: list[CheckResult] = []
 
     def add(name: str, residual: float, tol: float, applicable: bool = True, note: str = "") -> None:
@@ -165,17 +172,13 @@ def verify(decomp: Decomposition) -> VerificationReport:
             )
         )
 
-    centering = 0.0
-    for axis in axes:
-        centering = max(centering, abs(float(r @ axis.f)), abs(float(c @ axis.g)))
-    add("centering", centering, 1e-10)
+    sides = ((r, F), (c, G))
+    add("centering", _max_abs(*(np.einsum("i,ia->a", w, X) for w, X in sides)), 1e-10)
 
     # Monotone dispersions are an eigenvalue property; L1 deflation does not
     # guarantee them (the deflated residual's optimum can exceed the previous
     # axis), so the ordering claim applies to CA only.
-    ordering = 0.0
-    if len(axes) > 1:
-        ordering = max(0.0, float(np.max(sig[1:] - sig[:-1])))
+    ordering = float(np.max(sig[1:] - sig[:-1], initial=0.0))
     if decomp.method == "CA":
         add("axes-ordering", ordering, 1e-9)
     else:
@@ -185,77 +188,33 @@ def verify(decomp: Decomposition) -> VerificationReport:
         )
 
     if decomp.method == "CA":
-        norms = 0.0
-        ortho = 0.0
-        transition = 0.0
-        for a, axis in enumerate(axes):
-            norms = max(
-                norms,
-                abs(float(axis.f @ (r * axis.f)) - axis.sigma**2),
-                abs(float(axis.g @ (c * axis.g)) - axis.sigma**2),
-            )
-            for b in range(a + 1, len(axes)):
-                ortho = max(
-                    ortho,
-                    abs(float(axis.f @ (r * axes[b].f))),
-                    abs(float(axis.g @ (c * axes[b].g))),
-                )
-            f_from_g = (model.P @ axis.g) / r / axis.sigma
-            g_from_f = (model.P.T @ axis.f) / c / axis.sigma
-            transition = max(
-                transition,
-                float(np.max(np.abs(f_from_g - axis.f))),
-                float(np.max(np.abs(g_from_f - axis.g))),
-            )
-        add("l2-norms", norms, 1e-9)
-        add("orthogonality", ortho, 1e-9)
-        add("transition", transition, 1e-9)
-        sigma_range = max(0.0, float(sig.max(initial=0.0)) - 1.0, -float(sig.min(initial=0.0)))
-        add("sigma-range", sigma_range, 1e-9)
+        grams = [np.einsum("ia,ib->ab", X, w[:, None] * X) for w, X in sides]
+        add("l2-norms", _max_abs(*(np.diag(gram) - sig**2 for gram in grams)), 1e-9)
+        add("orthogonality", _max_abs(*(np.triu(gram, 1) for gram in grams)), 1e-9)
+        f_from_g = np.einsum("ij,ja->ia", P, G) / r[:, None] / sig
+        g_from_f = np.einsum("ij,ia->ja", P, F) / c[:, None] / sig
+        add("transition", _max_abs(f_from_g - F, g_from_f - G), 1e-9)
+        add("sigma-range", _max_abs(np.clip(sig, 0.0, 1.0) - sig), 1e-9)
     else:
-        norms = 0.0
-        equi = 0.0
-        for axis in axes:
-            norms = max(
-                norms,
-                abs(float(np.sum(r * np.abs(axis.f))) - axis.sigma),
-                abs(float(np.sum(c * np.abs(axis.g))) - axis.sigma),
-            )
-            half = axis.sigma / 2.0
-            pos_f = float(np.sum(r[axis.f > 0] * axis.f[axis.f > 0]))
-            neg_f = -float(np.sum(r[axis.f < 0] * axis.f[axis.f < 0]))
-            pos_g = float(np.sum(c[axis.g > 0] * axis.g[axis.g > 0]))
-            neg_g = -float(np.sum(c[axis.g < 0] * axis.g[axis.g < 0]))
-            equi = max(equi, *(abs(x - half) for x in (pos_f, neg_f, pos_g, neg_g)))
-        add("l1-norms", norms, 1e-9)
-        add("equivariability", equi, 1e-9)
+        masses = np.array([_side_masses(w, X) for w, X in sides])  # side, sign, axis
+        add("l1-norms", _max_abs(masses[:, 0] - masses[:, 1] - sig), 1e-9)
+        add("equivariability", _max_abs(np.abs(masses) - sig / 2.0), 1e-9)
+        signs = (_columns(decomp, "v"), _columns(decomp, "u"))
+        conj = [np.einsum("ia,ib->ab", X, w[:, None] * S) for (w, X), S in zip(sides, signs)]
+        add("conjugacy", _max_abs(*(np.tril(m, -1) for m in conj)), 1e-9)
 
-        conj = 0.0
-        for b in range(len(axes)):
-            for a in range(b + 1, len(axes)):
-                conj = max(
-                    conj,
-                    abs(float(axes[a].f @ (r * axes[b].v))),
-                    abs(float(axes[a].g @ (c * axes[b].u))),
-                )
-        add("conjugacy", conj, 1e-9)
-
-        quad = 0.0
-        for axis, R in zip(axes, decomp._replay()):
-            u_pos, u_neg = (axis.u + 1.0) / 2.0, (axis.u - 1.0) / 2.0
-            v_pos, v_neg = (axis.v + 1.0) / 2.0, (axis.v - 1.0) / 2.0
-            quarter = axis.sigma / 4.0
-            quad = max(
-                quad,
-                abs(float(v_pos @ R @ u_pos) - quarter),
-                abs(float(v_neg @ R @ u_neg) - quarter),
-                abs(abs(float(v_neg @ R @ u_pos)) - quarter),
-                abs(abs(float(v_pos @ R @ u_neg)) - quarter),
-            )
-        add("quadrant-balance", quad, 1e-9)
+        quad = []
+        for axis, R in zip(decomp.axes, decomp._replay()):
+            # Q[s, t] = v_s' R u_t over the halves (x + 1) / 2 (s = 0) and (x - 1) / 2
+            # (s = 1) of each sign vector x: sigma/4 on the diagonal, -sigma/4 off it.
+            U, V = (np.stack((x + 1.0, x - 1.0), axis=1) / 2.0 for x in (axis.u, axis.v))
+            Q = np.einsum("ia,ib->ab", V, np.einsum("ij,jb->ib", R, U))
+            quad += [np.diag(Q) - axis.sigma / 4.0, np.abs(np.diag(Q[::-1])) - axis.sigma / 4.0]
+        add("quadrant-balance", _max_abs(*quad), 1e-9)
 
     if decomp.is_full_rank:
-        add("reconstruction", _reconstruction_residual(decomp), 1e-9)
+        p_hat = np.outer(r, c) * (1.0 + np.einsum("ia,ja->ij", F / sig, G))
+        add("reconstruction", _max_abs(P - p_hat), 1e-9)
     else:
         add(
             "reconstruction", 0.0, 1e-9, applicable=False,

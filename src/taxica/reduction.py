@@ -188,16 +188,24 @@ def reduce_to_minimal(table: ContingencyTable) -> ReductionTrace:
     )
 
 
+def _index(i, name: str) -> int:
+    """``i`` as a Python int; anything but a Python or NumPy integer, bools
+    included, raises :class:`ValidationError`."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise ValidationError(f"{name} index {i!r} is not an integer")
+    return int(i)
+
+
 def apply_grouping(table: ContingencyTable, row_groups, col_groups) -> ContingencyTable:
     """Re-apply a saved partition, summing each group into one line.
 
     Both arguments must partition the row and column index ranges exactly;
-    overlapping or incomplete partitions, and empty groups, raise
-    :class:`ValidationError`.
+    overlapping or incomplete partitions, empty groups and indices that are
+    not integers raise :class:`ValidationError`.
     """
     I, J = table.shape
-    row_groups = [sorted(int(i) for i in g) for g in row_groups]
-    col_groups = [sorted(int(j) for j in g) for g in col_groups]
+    row_groups = [sorted(_index(i, "row") for i in g) for g in row_groups]
+    col_groups = [sorted(_index(j, "column") for j in g) for g in col_groups]
     for name, groups, size in (("row", row_groups, I), ("column", col_groups, J)):
         flat = sorted(i for g in groups for i in g)
         if flat != list(range(size)):

@@ -22,7 +22,7 @@ from taxica import (
     verify,
 )
 
-from taxica.diagnostics import MAX_MATCHED_AXES, _best_pairing
+from taxica.diagnostics import MAX_MATCHED_AXES, CheckResult, _best_pairing
 
 from helpers import assert_row_matches_up_to_sign, make_table
 
@@ -32,7 +32,153 @@ TV_SC1 = [-28, -96, -165, -137, -73, -2, 500]
 TV_SC2 = [-82, -235, -173, 222, 278, -10, 0]
 
 
+def _loop_contributions(decomp):
+    """Reference: contributions built one axis at a time."""
+    r, c = decomp.model.r, decomp.model.c
+    rows, cols = [], []
+    for axis in decomp.axes:
+        if decomp.method == "CA":
+            rows.append(1000.0 * r * axis.f**2 / axis.sigma**2)
+            cols.append(1000.0 * c * axis.g**2 / axis.sigma**2)
+        else:
+            rows.append(1000.0 * r * axis.f / axis.sigma)
+            cols.append(1000.0 * c * axis.g / axis.sigma)
+    return np.array(rows).T, np.array(cols).T
+
+
+def _loop_verify(decomp):
+    """Reference: ``verify`` with one dot product per axis and per pair of
+    axes, in the same check order, tolerances, applicability and notes."""
+    model = decomp.model
+    r, c = model.r, model.c
+    axes = decomp.axes
+    sig = decomp.sigmas
+    checks = []
+
+    def add(name, residual, tol, applicable=True, note=""):
+        passed = bool(residual <= tol) or not applicable
+        checks.append(CheckResult(name, float(residual), tol, passed, applicable, note))
+
+    centering = 0.0
+    for axis in axes:
+        centering = max(centering, abs(float(r @ axis.f)), abs(float(c @ axis.g)))
+    add("centering", centering, 1e-10)
+    ordering = 0.0
+    if len(axes) > 1:
+        ordering = max(0.0, float(np.max(sig[1:] - sig[:-1])))
+    if decomp.method == "CA":
+        add("axes-ordering", ordering, 1e-9)
+    else:
+        note = "informational: deflation order, monotonicity not guaranteed"
+        add("axes-ordering", ordering, 1e-9, applicable=False, note=note)
+
+    if decomp.method == "CA":
+        norms = ortho = transition = 0.0
+        for a, axis in enumerate(axes):
+            norms = max(
+                norms,
+                abs(float(axis.f @ (r * axis.f)) - axis.sigma**2),
+                abs(float(axis.g @ (c * axis.g)) - axis.sigma**2),
+            )
+            for b in range(a + 1, len(axes)):
+                ortho = max(
+                    ortho,
+                    abs(float(axis.f @ (r * axes[b].f))),
+                    abs(float(axis.g @ (c * axes[b].g))),
+                )
+            f_from_g = (model.P @ axis.g) / r / axis.sigma
+            g_from_f = (model.P.T @ axis.f) / c / axis.sigma
+            transition = max(
+                transition,
+                float(np.max(np.abs(f_from_g - axis.f))),
+                float(np.max(np.abs(g_from_f - axis.g))),
+            )
+        add("l2-norms", norms, 1e-9)
+        add("orthogonality", ortho, 1e-9)
+        add("transition", transition, 1e-9)
+        sigma_range = max(0.0, float(sig.max(initial=0.0)) - 1.0, -float(sig.min(initial=0.0)))
+        add("sigma-range", sigma_range, 1e-9)
+    else:
+        norms = equi = 0.0
+        for axis in axes:
+            norms = max(
+                norms,
+                abs(float(np.sum(r * np.abs(axis.f))) - axis.sigma),
+                abs(float(np.sum(c * np.abs(axis.g))) - axis.sigma),
+            )
+            pos_f = float(np.sum(r[axis.f > 0] * axis.f[axis.f > 0]))
+            neg_f = -float(np.sum(r[axis.f < 0] * axis.f[axis.f < 0]))
+            pos_g = float(np.sum(c[axis.g > 0] * axis.g[axis.g > 0]))
+            neg_g = -float(np.sum(c[axis.g < 0] * axis.g[axis.g < 0]))
+            equi = max(equi, *(abs(x - axis.sigma / 2.0) for x in (pos_f, neg_f, pos_g, neg_g)))
+        add("l1-norms", norms, 1e-9)
+        add("equivariability", equi, 1e-9)
+        conj = 0.0
+        for b in range(len(axes)):
+            for a in range(b + 1, len(axes)):
+                conj = max(
+                    conj,
+                    abs(float(axes[a].f @ (r * axes[b].v))),
+                    abs(float(axes[a].g @ (c * axes[b].u))),
+                )
+        add("conjugacy", conj, 1e-9)
+        quad = 0.0
+        for axis, R in zip(axes, decomp.residuals):
+            u_pos, u_neg = (axis.u + 1.0) / 2.0, (axis.u - 1.0) / 2.0
+            v_pos, v_neg = (axis.v + 1.0) / 2.0, (axis.v - 1.0) / 2.0
+            quarter = axis.sigma / 4.0
+            quad = max(
+                quad,
+                abs(float(v_pos @ R @ u_pos) - quarter),
+                abs(float(v_neg @ R @ u_neg) - quarter),
+                abs(abs(float(v_neg @ R @ u_pos)) - quarter),
+                abs(abs(float(v_pos @ R @ u_neg)) - quarter),
+            )
+        add("quadrant-balance", quad, 1e-9)
+
+    if decomp.is_full_rank:
+        expansion = np.ones_like(model.P)
+        for axis in axes:
+            expansion = expansion + np.outer(axis.f, axis.g) / axis.sigma
+        p_hat = np.outer(r, c) * expansion
+        add("reconstruction", float(np.max(np.abs(model.P - p_hat))), 1e-9)
+    else:
+        note = "decomposition is truncated; identity needs all nonzero axes"
+        add("reconstruction", 0.0, 1e-9, applicable=False, note=note)
+    return checks
+
+
+@pytest.fixture(scope="module")
+def sparse_80x48():
+    """A seeded 80x48 table with about 75% zeros and no empty line."""
+    rng = np.random.default_rng(80)
+    counts = (1.0 + rng.poisson(4.0, (80, 48))) * (rng.random((80, 48)) >= 0.75)
+    counts[np.arange(80), np.arange(80) % 48] += 1.0
+    return build_model(make_table(counts))
+
+
+@pytest.fixture(scope="module")
+def corrupted_ca(toy_minimal):
+    """The CA of the reduced toy table with its row coordinates scaled by 1.05."""
+    good = ca_decompose(build_model(toy_minimal))
+    axis = good.axes[0]
+    bad_axis = Axis(f=axis.f * 1.05, g=axis.g.copy(), sigma=axis.sigma, u=axis.u.copy(), v=axis.v.copy())
+    return Decomposition(method="CA", axes=(bad_axis,), model=good.model, is_full_rank=True)
+
+
 class TestContributions:
+    def test_matches_the_per_axis_reference_bit_for_bit(
+        self, tv_ca, tv_tca, rodents_ca, rodents_tca, sparse_80x48
+    ):
+        for decomp in (
+            tv_ca, tv_tca, rodents_ca, rodents_tca,
+            ca_decompose(sparse_80x48), tca_decompose(sparse_80x48),
+        ):
+            contrib = contributions(decomp)
+            rows, cols = _loop_contributions(decomp)
+            for got, want in ((contrib.row_values, rows), (contrib.col_values, cols)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_tv_ca_column_contributions(self, tv_ca, tv_table):
         contrib = contributions(tv_ca)
         cols = {lab: contrib.col_values[j] for j, lab in enumerate(tv_table.col_labels)}
@@ -145,22 +291,8 @@ class TestVerify:
         for decomp in (tv_ca, tv_tca, rodents_ca, rodents_tca):
             assert verify(decomp).passed
 
-    def test_detects_corrupted_coordinates(self, toy_minimal):
-        good = ca_decompose(build_model(toy_minimal))
-        bad_axis = Axis(
-            f=good.axes[0].f * 1.05,
-            g=good.axes[0].g.copy(),
-            sigma=good.axes[0].sigma,
-            u=good.axes[0].u.copy(),
-            v=good.axes[0].v.copy(),
-        )
-        corrupted = Decomposition(
-            method="CA",
-            axes=(bad_axis,),
-            model=good.model,
-            is_full_rank=True,
-        )
-        report = verify(corrupted)
+    def test_detects_corrupted_coordinates(self, corrupted_ca):
+        report = verify(corrupted_ca)
         assert not report.passed
         failing = {c.name for c in report.checks if not c.passed}
         assert "reconstruction" in failing
@@ -180,6 +312,41 @@ class TestVerify:
         quad = next(c for c in report.checks if c.name == "quadrant-balance")
         assert quad.applicable and quad.passed
         assert report.passed
+
+    @pytest.mark.parametrize("method", ["CA", "TCA"])
+    def test_decomposition_without_axes(self, method):
+        # proportional rows: both methods keep no axis, and the identities
+        # hold over an empty set of axes
+        model = build_model(make_table([[5, 6], [10, 12]], ["a", "b"]))
+        decomp = (ca_decompose if method == "CA" else tca_decompose)(model)
+        assert decomp.axes == () and decomp.is_full_rank
+        report = verify(decomp)
+        assert [c.name for c in report.checks] == [c.name for c in _loop_verify(decomp)]
+        assert len(report.checks) == 7
+        for check in report.checks[:-1]:
+            assert check.max_residual == 0.0, check.name
+        assert report.checks[-1].name == "reconstruction"
+        assert report.checks[-1].max_residual == pytest.approx(5.6e-17, abs=1e-18)
+        assert report.passed
+
+    def test_matches_the_loop_reference(
+        self, tv_table, rodents_table, tv_ca, tv_tca, rodents_ca, rodents_tca,
+        sparse_80x48, corrupted_ca,
+    ):
+        truncated = [
+            decompose(build_model(table), max_axes=2)
+            for table in (tv_table, rodents_table)
+            for decompose in (ca_decompose, tca_decompose)
+        ]
+        for decomp in (
+            tv_ca, tv_tca, rodents_ca, rodents_tca, *truncated,
+            ca_decompose(sparse_80x48), tca_decompose(sparse_80x48), corrupted_ca,
+        ):
+            for got, want in zip(verify(decomp).checks, _loop_verify(decomp), strict=True):
+                assert (got.name, got.tolerance, got.passed, got.applicable, got.note) == (
+                    want.name, want.tolerance, want.passed, want.applicable, want.note
+                )
+                assert abs(got.max_residual - want.max_residual) <= 1e-15, got.name
 
     def test_truncated_decomposition_skips_reconstruction(self, tv_table):
         decomp = ca_decompose(build_model(tv_table), max_axes=2)

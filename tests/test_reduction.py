@@ -306,3 +306,20 @@ class TestApplyGrouping:
         # the index ranges are covered exactly, so only the empty group is wrong
         with pytest.raises(ValidationError, match=match):
             apply_grouping(toy_table, row_groups, col_groups)
+
+    @pytest.mark.parametrize("index", [1.7, True, 1.0, np.float64(1.0), "1"])
+    @pytest.mark.parametrize("axis", ["row", "column"])
+    def test_non_integer_index_rejected(self, toy_table, axis, index):
+        # int() makes each of these line 1, which the partition check alone
+        # would accept
+        groups = [(0, index), (2,), (3,)]
+        identity = [(k,) for k in range(4)]
+        row_groups, col_groups = (groups, identity) if axis == "row" else (identity, groups)
+        with pytest.raises(ValidationError, match=f"{axis} index .* is not an integer"):
+            apply_grouping(toy_table, row_groups, col_groups)
+
+    def test_numpy_integer_indices_accepted(self, toy_table):
+        grouped = apply_grouping(
+            toy_table, [np.array([0, 1, 3]), (np.int64(2),)], [(np.uint8(0), 1), (2, 3)]
+        )
+        assert grouped.counts.tolist() == [[18, 0], [0, 3]]
