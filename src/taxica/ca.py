@@ -265,11 +265,9 @@ def ca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) -> 
 
     noise_floor = np.sqrt(max(I, J) * np.finfo(np.float64).eps)
     cutoff = max(RANK_CUTOFF, noise_floor)
-    n_nonzero = 0
-    for a in range(min(I, J) - 1):
-        if sigma[0] < noise_floor or sigma[a] < cutoff * sigma[0]:
-            break
-        n_nonzero += 1
+    # sigma descends, so the axes that reach the cutoff are a prefix.
+    kept = np.count_nonzero(sigma[: min(I, J) - 1] >= cutoff * sigma[0])
+    n_nonzero = 0 if sigma[0] < noise_floor else int(kept)
     n_keep = min(k, n_nonzero)
 
     axes = []

@@ -282,20 +282,14 @@ def map_similarity(
             f"axes={axes} out of range 1..{min(d1.rank_used, d2.rank_used)}"
         )
     r = d1.model.r
-
-    def congruence(f1: np.ndarray, f2: np.ndarray) -> float:
-        num = abs(float(np.sum(r * f1 * f2)))
-        den = np.sqrt(float(np.sum(r * f1**2)) * float(np.sum(r * f2**2)))
-        return num / den if den > 0 else 0.0
-
-    phi = np.array(
-        [
-            [congruence(d1.axes[a].f, d2.axes[b].f) for b in range(axes)]
-            for a in range(axes)
-        ]
-    )
+    F1, F2 = (_columns(d, "f")[:, :axes].T for d in (d1, d2))
+    # Row a * axes + b of this C-ordered 2-D block is r * f1_a * f2_b. The sum of a
+    # contiguous row is numpy's pairwise sum, the float np.sum gives that pair alone.
+    num = (r * F1[:, None, :] * F2[None, :, :]).reshape(axes * axes, -1).sum(axis=1)
+    den = np.sqrt(np.outer((r * F1**2).sum(axis=1), (r * F2**2).sum(axis=1)))
+    phi = np.divide(np.abs(num).reshape(axes, axes), den, out=np.zeros_like(den), where=den > 0)
     best_perm = _best_pairing(phi)
-    phis = tuple(float(phi[a][best_perm[a]]) for a in range(axes))
+    phis = tuple(phi[range(axes), best_perm].tolist())
     hits = sum(1 for value in phis if value >= threshold)
     verdict = "similar" if hits == axes else ("partial" if hits > 0 else "dissimilar")
     return SimilarityReport(

@@ -43,17 +43,28 @@ class ReductionTrace(Record):
         return not self.steps
 
 
-def _check_cross_products(max_abs: float, max_sum: float) -> None:
-    """Refuse lines whose cross-products in ``_proportional_to`` overflow.
+def _check_cross_products(lines: np.ndarray, sums: np.ndarray) -> None:
+    """Refuse lines whose cross-products in ``_proportional_to`` leave the
+    normal float range.
 
-    Every cross-product is a line sum times an entry, so it is bounded by
-    ``max_abs * max_sum``. Past the float range the products become inf and
-    ``inf <= tol * inf`` would call lines with disjoint support proportional.
+    Every cross-product is a line sum times an entry. Past the largest float
+    the products become inf, and ``inf <= tol * inf`` would call lines with
+    disjoint support proportional. Below the smallest normal float a product
+    of positive factors can round to 0, and ``0 <= tol * 0`` would do the same.
     """
+    magnitudes = np.abs(lines)
+    max_abs, max_sum = float(magnitudes.max()), float(sums.max())
     if not np.isfinite(max_abs * max_sum):
         raise NumericalError(
             "proportionality test overflows: largest entry times largest line sum "
             f"({max_abs:.6g} * {max_sum:.6g}) exceeds the float range; rescale the table"
+        )
+    min_pos = float(np.min(magnitudes, where=magnitudes > 0, initial=np.inf))
+    min_sum = float(sums.min())
+    if min_pos * min_sum < np.finfo(np.float64).tiny:
+        raise NumericalError(
+            "proportionality test underflows: smallest positive entry times smallest line sum "
+            f"({min_pos:.6g} * {min_sum:.6g}) is below the normal float range; rescale the table"
         )
 
 
@@ -87,7 +98,7 @@ def proportional(x, y, tol: float = PROPORTIONAL_TOL) -> bool:
     sy = float(y.sum())
     if sx <= 0 or sy <= 0:
         raise ValidationError("proportionality is undefined for zero-sum vectors")
-    _check_cross_products(float(max(np.abs(x).max(), np.abs(y).max())), max(sx, sy))
+    _check_cross_products(np.stack((x, y)), np.array([sx, sy]))
     return bool(_proportional_to(x, sx, y[None, :], np.array([sy]), tol)[0])
 
 
@@ -109,7 +120,7 @@ def _proportional_groups(lines: np.ndarray, tol: float) -> list[list[int]]:
         return a
 
     sums = lines.sum(axis=1)
-    _check_cross_products(float(np.abs(lines).max()), float(sums.max()))
+    _check_cross_products(lines, sums)
     for i in range(m - 1):
         near = _proportional_to(lines[i], sums[i], lines[i + 1:], sums[i + 1:], tol)
         for j in (np.flatnonzero(near) + (i + 1)).tolist():

@@ -113,7 +113,8 @@ def parse_table(csv_text: str, delimiter: str = ",") -> ContingencyTable:
 
     The first row is a header holding the J column labels; its first cell
     (usually blank or ``id``) is ignored. Every following row is a row label
-    followed by J numeric cells. Raises :class:`ParseError` naming the
+    followed by J numeric cells: ASCII numbers as ``float()`` reads them, but
+    without ``_`` digit separators. Raises :class:`ParseError` naming the
     offending row and column on malformed CSV; the values and labels are
     checked by :class:`ContingencyTable` (:class:`ValidationError`).
     """
@@ -141,9 +142,15 @@ def parse_table(csv_text: str, delimiter: str = ",") -> ContingencyTable:
                 f"row '{label}' (line {line_no}) has {len(cells)} cells, "
                 f"expected {len(col_labels)}"
             )
+        # float() also reads "1_000" and non-ASCII digits; a row free of both,
+        # the usual case, skips the per-cell test.
+        joined = "".join(cells)
+        screened = "_" not in joined and joined.isascii()
         values = []
         for j, cell in enumerate(cells):
             try:
+                if not screened and ("_" in cell or not cell.strip().isascii()):
+                    raise ValueError
                 values.append(float(cell))
             except ValueError:
                 raise ParseError(

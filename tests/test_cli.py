@@ -360,6 +360,26 @@ class TestErrorsAndWarnings:
         assert "r1+r2" not in captured.out
         assert "numerical error" in captured.err and "overflows" in captured.err
 
+    @pytest.mark.parametrize("argv", [["reduce"], ["summarize"], ["tca", "--reduced"]])
+    def test_underflowing_cross_products_exit_3(self, capsys, tmp_path, argv):
+        # Count times line sum is 1e-340, which rounds to 0: the rows would all
+        # pass as proportional and merge into one.
+        path = tmp_path / "subnormal.csv"
+        path.write_text(",a,b\nr1,1e-170,0\nr2,0,1e-170\nr3,1e-170,1e-170\n")
+        assert run_cli([*argv, "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical error" in captured.err and "underflows" in captured.err
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662"])
+    def test_cell_only_float_reads_exits_2(self, capsys, tmp_path, cell):
+        path = tmp_path / "cells.csv"
+        path.write_text(f",a,b\nr1,{cell},2\nr2,3,4\n", encoding="utf-8")
+        assert run_cli(["summarize", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"non-numeric cell '{cell}' at row 'r1', column 'a'" in captured.err
+
     @pytest.mark.parametrize(
         "text",
         [

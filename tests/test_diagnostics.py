@@ -422,6 +422,18 @@ class TestMapSimilarity:
             map_similarity(tv_ca, tv_tca, axes=2, threshold=threshold)
 
 
+def _loop_congruence(d1, d2, k):
+    """The k x k congruence matrix built one pair of axes at a time, each
+    entry from its own ``np.sum`` calls: the reference for map_similarity."""
+    r = d1.model.r
+
+    def congruence(f1, f2):
+        den = np.sqrt(float(np.sum(r * f1**2)) * float(np.sum(r * f2**2)))
+        return abs(float(np.sum(r * f1 * f2))) / den if den > 0 else 0.0
+
+    return np.array([[congruence(a.f, b.f) for b in d2.axes[:k]] for a in d1.axes[:k]])
+
+
 def _brute_force_pairing(phi):
     k = len(phi)
     return max(
@@ -465,21 +477,30 @@ class TestPairingSearch:
         model = build_model(make_table(rng.poisson(3.0, (15, 12)) + 1))
         return ca_decompose(model), tca_decompose(model)
 
+    @pytest.fixture(scope="class", params=[75.0, 10.0], ids=["sparse", "dense"])
+    def decomps_80x48(self, request):
+        """CA and the first 9 TCA axes of a seeded 80x48 table, the shape of
+        the ``compare --axes 8`` benchmark calls, at 75% or 10% zeros."""
+        rng = np.random.default_rng(int(request.param))
+        counts = (1.0 + rng.poisson(4.0, (80, 48))) * (rng.random((80, 48)) >= request.param / 100)
+        counts[np.arange(80), np.arange(80) % 48] += 1.0
+        model = build_model(make_table(counts))
+        return ca_decompose(model), tca_decompose(model, max_axes=MAX_MATCHED_AXES)
+
     def test_map_similarity_matches_brute_force(self, decomps_12):
         d_ca, d_tca = decomps_12
-        r = d_ca.model.r
         for k in range(1, 8):
-            phi = np.array(
-                [
-                    [
-                        abs(float(np.sum(r * a.f * b.f)))
-                        / np.sqrt(float(np.sum(r * a.f**2)) * float(np.sum(r * b.f**2)))
-                        for b in d_tca.axes[:k]
-                    ]
-                    for a in d_ca.axes[:k]
-                ]
-            )
+            phi = _loop_congruence(d_ca, d_tca, k)
             expected = _brute_force_pairing(phi)
+            report = map_similarity(d_ca, d_tca, axes=k)
+            assert report.pairing == expected
+            assert report.phis == tuple(float(phi[a][expected[a]]) for a in range(k))
+
+    def test_map_similarity_matches_the_loop_reference_at_80x48(self, decomps_80x48):
+        d_ca, d_tca = decomps_80x48
+        for k in range(1, MAX_MATCHED_AXES + 1):
+            phi = _loop_congruence(d_ca, d_tca, k)
+            expected = _best_pairing(phi)
             report = map_similarity(d_ca, d_tca, axes=k)
             assert report.pairing == expected
             assert report.phis == tuple(float(phi[a][expected[a]]) for a in range(k))

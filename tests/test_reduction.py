@@ -39,6 +39,24 @@ class TestProportional:
         with pytest.raises(NumericalError, match="overflows"):
             reduce_to_minimal(make_table([[1e200, 0], [0, 1e200], [1, 1]]))
 
+    def test_underflowing_cross_products_rejected(self):
+        # 1e-170 * 1e-170 rounds to 0, and 0 <= tol * 0 would accept lines
+        # with different support.
+        with pytest.raises(NumericalError, match="underflows.*rescale the table"):
+            proportional([1e-170, 0.0], [0.0, 1e-170])
+        with pytest.raises(NumericalError, match="underflows.*rescale the table"):
+            reduce_to_minimal(make_table([[1e-170, 0], [0, 1e-170], [1e-170, 1e-170]]))
+
+    def test_cross_products_in_the_normal_range_reduce(self):
+        # Cross-products of 1e-300 are normal floats, so the scan still tells
+        # supports apart and merges only the proportional rows.
+        trace = reduce_to_minimal(make_table([[1e-150, 0], [0, 1e-150], [2e-150, 0], [1e-150, 1e-150]]))
+        assert trace.minimal.counts.tolist() == [[3e-150, 0.0], [0.0, 1e-150], [1e-150, 1e-150]]
+        assert trace.row_groups == ((0, 2), (1,), (3,))
+        assert trace.col_groups == ((0,), (1,))
+        assert trace.minimal.row_labels == ("r1+r3", "r2", "r4")
+        assert not proportional([1e-150, 0.0], [0.0, 1e-150])
+
     def test_zero_sum_vector_rejected(self):
         with pytest.raises(ValidationError, match="zero-sum"):
             proportional([0, 0], [1, 2])

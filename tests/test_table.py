@@ -53,6 +53,16 @@ class TestParse:
         with pytest.raises(ParseError, match="row 'r2', column 'b'"):
             parse_table(",a,b\nr1,1,2\nr2,3,oops")
 
+    # float() reads both: "1_000" as 1000.0 and the Arabic-Indic digits as 12.0.
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662"], ids=["digit-separator", "non-ascii-digits"])
+    def test_cell_only_float_reads_refused(self, cell):
+        with pytest.raises(ParseError, match=f"non-numeric cell '{cell}' at row 'r2', column 'b'"):
+            parse_table(f",a,b\nr1,1,2\nr2,3,{cell}")
+
+    def test_non_ascii_whitespace_around_a_number(self):
+        # The stripped text is what must be ASCII; no-break spaces around it are padding.
+        assert parse_table(",a,b\nr1,\u00a012\u00a0,2").counts.tolist() == [[12, 2]]
+
     def test_negative_entry(self):
         with pytest.raises(ValidationError, match="negative.*row 'r1', column 'a'"):
             parse_table(",a,b\nr1,-1,2")

@@ -1,0 +1,105 @@
+"""Byte-for-byte census of the benchmark workloads' CLI calls between two trees.
+
+Usage (from the repository root):
+
+    python tools/census.py PARENT_TREE CHANGE_TREE [--seeds 11,12]
+
+For each seed, the four workloads' CSV files are built once with
+``perfbench/workloads.py``. Every distinct call of their cycles then runs in
+both trees as ``python -m taxica`` with ``PYTHONPATH=<tree>/src`` and one
+BLAS/OpenMP thread, two calls at a time, and once more with ``--format
+table`` where the subcommand takes ``--format``. A call matches when its
+stdout bytes, its stderr (with the input path masked) and its exit code are
+equal. Each differing call is printed, then the count; the exit code is 1 on
+any difference, else 0.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+#: Calls run at once: one per core of a 2-vCPU machine, each at one BLAS thread.
+JOBS = 2
+
+#: Subcommands that take ``--format {json,table}``; ``plot`` writes SVG only.
+FORMAT_COMMANDS = {"summarize", "reduce", "ca", "tca", "compare", "verify"}
+
+
+def table_variant(argv: tuple[str, ...]) -> tuple[str, ...] | None:
+    """``argv`` with ``--format table``, or None if it takes no ``--format``
+    or already asks for the table."""
+    if argv[0] not in FORMAT_COMMANDS:
+        return None
+    if "--format" not in argv:
+        return (*argv, "--format", "table")
+    i = argv.index("--format") + 1
+    return None if argv[i] == "table" else (*argv[:i], "table", *argv[i + 1:])
+
+
+def distinct_calls(seeds: list[int], directory: Path) -> list[tuple[str, tuple[str, ...], Path]]:
+    """(workload, argv, input path) of every distinct call, table variants included."""
+    calls = {}
+    for seed in seeds:
+        for name in workloads.WORKLOADS:
+            work = directory / f"{name}_{seed}"
+            work.mkdir()
+            workload = workloads.build(name, seed, work)
+            for call in workload.cycle:
+                path = workload.tables[call.table].path
+                for argv in (call.argv, table_variant(call.argv)):
+                    if argv is not None:
+                        calls.setdefault((str(path), argv), (f"{name} seed {seed}", argv, path))
+    return list(calls.values())
+
+
+def run(tree: Path, argv: tuple[str, ...], path: Path, cwd: Path) -> tuple[bytes, bytes, int]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "taxica", *argv, "--input", str(path)],
+        capture_output=True, env=env, cwd=cwd, timeout=600,
+    )
+    return proc.stdout, proc.stderr.replace(os.fsencode(path), b"<input>"), proc.returncode
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="tree whose src/ is the reference")
+    parser.add_argument("change", type=Path, help="tree whose src/ is compared with it")
+    parser.add_argument("--seeds", default="11,12", help="comma-separated workload seeds (default 11,12)")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    trees = [args.parent.resolve(), args.change.resolve()]
+
+    with tempfile.TemporaryDirectory(prefix="taxica-census-") as tmp:
+        directory = Path(tmp)
+        calls = distinct_calls(seeds, directory)
+
+        def compare(call) -> str | None:
+            label, call_argv, path = call
+            parent, change = (run(tree, call_argv, path, directory) for tree in trees)
+            what = [part for part, a, b in zip(("stdout", "stderr", "exit code"), parent, change) if a != b]
+            if not what:
+                return None
+            return f"{label}: taxica {' '.join(call_argv)} --input {path.name}: {', '.join(what)} differ"
+
+        with ThreadPoolExecutor(max_workers=JOBS) as pool:
+            diffs = [d for d in pool.map(compare, calls) if d is not None]
+
+    for line in diffs:
+        print(line)
+    print(f"{len(diffs)} of {len(calls)} distinct calls differ (seeds {args.seeds})")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
