@@ -42,30 +42,39 @@ class Axis(Record):
     __slots__ = ("f", "g", "sigma", "u", "v")
 
 
-def _deflate(R: np.ndarray, r: np.ndarray, c: np.ndarray, axis: Axis) -> np.ndarray:
-    """R less the rank-one term Dr f g' Dc / sigma that ``axis`` carries."""
-    return R - np.outer(r * axis.f, c * axis.g) / axis.sigma
+def _deflate(R: np.ndarray, r: np.ndarray, c: np.ndarray, f: np.ndarray, g: np.ndarray, sigma) -> np.ndarray:
+    """R less the rank-one term Dr f g' Dc / sigma of an axis."""
+    return R - np.outer(r * f, c * g) / sigma
 
 
 class Decomposition(Record):
     """Axes of a CA or TCA decomposition of one correspondence model.
 
-    ``method`` is "CA" or "TCA". Axes appear in extraction order:
-    nonincreasing dispersion for CA, and deflation order for TCA (typically,
-    but provably not always, monotone: the optimum over a deflated residual
-    can exceed the previous axis).
+    ``method`` is "CA" or "TCA". Column a of ``F`` and ``V`` (I x k), of
+    ``G`` and ``U`` (J x k), and ``sigmas[a]`` are axis a's f, v, g, u and
+    sigma (see :class:`Axis`); each matrix is the transpose of a C-ordered
+    k x n block. Axes appear in extraction order: nonincreasing dispersion
+    for CA, and deflation order for TCA (typically, but provably not always,
+    monotone: the optimum over a deflated residual can exceed the previous
+    axis).
     ``solutions`` (TCA only) stores per-axis solver metadata.
     ``is_full_rank`` tells whether every numerically nonzero axis is present,
-    which is what the data reconstruction identity requires. ``rank_used``
-    and ``residuals`` are derived from the axes on each read.
+    which is what the data reconstruction identity requires. ``axes``,
+    ``rank_used`` and ``residuals`` are derived from the columns on each read.
     """
 
-    __slots__ = ("method", "axes", "model", "is_full_rank", "solutions")
+    __slots__ = ("method", "F", "G", "U", "V", "sigmas", "model", "is_full_rank", "solutions")
     _defaults = {"is_full_rank": True, "solutions": None}
 
     @property
     def rank_used(self) -> int:
-        return len(self.axes)
+        return len(self.sigmas)
+
+    @property
+    def axes(self) -> tuple[Axis, ...]:
+        """One :class:`Axis` per column, its vectors views of the columns."""
+        columns = zip(self.F.T, self.G.T, self.sigmas.tolist(), self.U.T, self.V.T)
+        return tuple(Axis(*fields) for fields in columns)
 
     @property
     def residuals(self) -> Optional[tuple[np.ndarray, ...]]:
@@ -77,14 +86,10 @@ class Decomposition(Record):
         """Yield each TCA axis's residual in turn, R0 first, and none past the last."""
         r, c = self.model.r, self.model.c
         R = self.model.R0
-        for a in range(len(self.axes)):
+        for a in range(self.rank_used):
             if a:
-                R = _deflate(R, r, c, self.axes[a - 1])
+                R = _deflate(R, r, c, self.F[:, a - 1], self.G[:, a - 1], self.sigmas[a - 1])
             yield R
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return np.array([axis.sigma for axis in self.axes])
 
     def __repr__(self) -> str:
         return f"Decomposition({self.method}, rank={self.rank_used})"
@@ -208,14 +213,6 @@ def symmetric_eigen(A) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(lam, 0.0, None), V
 
 
-def _orient(g: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Make the largest-magnitude column coordinate positive (ties: lowest
-    # index, via argmax); flipping one side flips both.
-    if g[int(np.argmax(np.abs(g)))] < 0:
-        return -g, -f
-    return g, f
-
-
 def axes_requested(max_axes: Optional[int], I: int, J: int) -> int:
     """Number of axes to extract from an I x J table: ``max_axes``, checked
     against 1..min(I, J) - 1, or that maximal rank when it is None."""
@@ -270,19 +267,17 @@ def ca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) -> 
     n_nonzero = 0 if sigma[0] < noise_floor else int(kept)
     n_keep = min(k, n_nonzero)
 
-    axes = []
-    for a in range(n_keep):
-        s_a = float(sigma[a])
-        g = s_a * X[:, a] / np.sqrt(c)
-        f = (P @ g) / r / s_a
-        if transposed:
-            f, g = g, f
-        g, f = _orient(g, f)
-        axes.append(Axis(f=f, g=g, sigma=s_a, u=g / s_a, v=f / s_a))
+    # One C-ordered k x n block per side, row a holding axis a. P @ g takes
+    # each g as a contiguous row: on a strided view the product can change bits.
+    s = sigma[:n_keep]
+    g_rows = np.ascontiguousarray(X[:, :n_keep].T) * s[:, None] / np.sqrt(c)
+    f_rows = np.array([P @ g for g in g_rows]).reshape(n_keep, len(r)) / r / s[:, None]
+    if transposed:
+        f_rows, g_rows = g_rows, f_rows
+    # Make each axis's largest-magnitude column coordinate positive (ties:
+    # lowest index, via argmax); flipping one side flips both.
+    flip = g_rows[np.arange(n_keep), np.argmax(np.abs(g_rows), axis=1)] < 0
+    f_rows[flip], g_rows[flip] = -f_rows[flip], -g_rows[flip]
 
-    return Decomposition(
-        method="CA",
-        axes=tuple(axes),
-        model=model,
-        is_full_rank=(n_keep == n_nonzero),
-    )
+    U, V = g_rows / s[:, None], f_rows / s[:, None]
+    return Decomposition("CA", f_rows.T, g_rows.T, U.T, V.T, s, model, is_full_rank=(n_keep == n_nonzero))

@@ -148,17 +148,16 @@ def _trace_payload(trace: ReductionTrace) -> dict:
 
 
 def _decomposition_payload(decomp: Decomposition, report_axes: int) -> dict:
-    expl = explained_variation(decomp) if decomp.axes else np.empty(0)
-    contrib = contributions(decomp) if decomp.axes else None
+    expl = explained_variation(decomp) if decomp.rank_used else np.empty(0)
+    contrib = contributions(decomp) if decomp.rank_used else None
     axes = []
     for a in range(min(report_axes, decomp.rank_used)):
-        axis = decomp.axes[a]
         entry = {
             "axis": a + 1,
-            "sigma": axis.sigma,
+            "sigma": decomp.sigmas[a],
             "explained_pct": float(expl[a]),
-            "row_coords": axis.f,
-            "col_coords": axis.g,
+            "row_coords": decomp.F[:, a],
+            "col_coords": decomp.G[:, a],
             "row_contributions": contrib.row_values[:, a],
             "col_contributions": contrib.col_values[:, a],
         }

@@ -69,14 +69,8 @@ class SimilarityReport(ValueRecord):
 
 
 def _require_axes(decomp: Decomposition) -> None:
-    if not decomp.axes:
+    if not decomp.rank_used:
         raise ValidationError("decomposition has no axes (all dispersions zero)")
-
-
-def _columns(decomp: Decomposition, field: str) -> np.ndarray:
-    """Every axis's ``field`` vector as one column: I x k for f, v; J x k for g, u."""
-    n = decomp.model.shape[field in ("g", "u")]
-    return np.array([getattr(axis, field) for axis in decomp.axes]).reshape(-1, n).T
 
 
 def _side_masses(w: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -98,11 +92,11 @@ def contributions(decomp: Decomposition) -> ContributionTable:
     _require_axes(decomp)
     if np.any(decomp.sigmas <= 0):
         raise ValidationError("contributions are undefined for a zero-dispersion axis")
-    F, G, sig = _columns(decomp, "f"), _columns(decomp, "g"), decomp.sigmas
+    F, G, sig = decomp.F, decomp.G, decomp.sigmas
     if decomp.method == "CA":
         # Python's float power, not x * x: the two differ in the last bit
         # for about one value in a thousand, and these digits are printed.
-        F, G, sig = F**2, G**2, np.array([axis.sigma**2 for axis in decomp.axes])
+        F, G, sig = F**2, G**2, np.array([s**2 for s in sig.tolist()])
     r, c = decomp.model.r[:, None], decomp.model.c[:, None]
     return ContributionTable(
         method=decomp.method,
@@ -135,8 +129,8 @@ def ca_balance(decomp: Decomposition) -> list[tuple[float, float]]:
     since CA ties neither to the dispersion.
     """
     _require_axes(decomp)
-    a = _side_masses(decomp.model.r, _columns(decomp, "f"))[0]
-    b = _side_masses(decomp.model.c, _columns(decomp, "g"))[0]
+    a = _side_masses(decomp.model.r, decomp.F)[0]
+    b = _side_masses(decomp.model.c, decomp.G)[0]
     return list(zip(a.tolist(), b.tolist()))
 
 
@@ -147,8 +141,8 @@ def verify(decomp: Decomposition) -> VerificationReport:
     identity needs every numerically nonzero axis, so it is marked not
     applicable on truncated decompositions.
 
-    Each identity is checked over all axes at once, with the axes' f, g, u,
-    v as the columns of F, G, U, V. CA: the diagonal of the Grams F' Dr F
+    Each identity is checked over all axes at once, on the decomposition's
+    columns F, G, U, V. CA: the diagonal of the Grams F' Dr F
     and G' Dc G checks the l2-norms, their strict upper triangle
     orthogonality. TCA: the strict lower triangle of F' Dr V and G' Dc U
     checks conjugacy, axis a against the sign vectors of each earlier axis
@@ -156,8 +150,7 @@ def verify(decomp: Decomposition) -> VerificationReport:
     by numpy, not by the BLAS kernel or thread count.
     """
     P, r, c = decomp.model.P, decomp.model.r, decomp.model.c
-    sig = decomp.sigmas
-    F, G = _columns(decomp, "f"), _columns(decomp, "g")
+    F, G, sig = decomp.F, decomp.G, decomp.sigmas
     checks: list[CheckResult] = []
 
     def add(name: str, residual: float, tol: float, applicable: bool = True, note: str = "") -> None:
@@ -199,8 +192,7 @@ def verify(decomp: Decomposition) -> VerificationReport:
         masses = np.array([_side_masses(w, X) for w, X in sides])  # side, sign, axis
         add("l1-norms", _max_abs(masses[:, 0] - masses[:, 1] - sig), 1e-9)
         add("equivariability", _max_abs(np.abs(masses) - sig / 2.0), 1e-9)
-        signs = (_columns(decomp, "v"), _columns(decomp, "u"))
-        conj = [np.einsum("ia,ib->ab", X, w[:, None] * S) for (w, X), S in zip(sides, signs)]
+        conj = [np.einsum("ia,ib->ab", X, w[:, None] * S) for (w, X), S in zip(sides, (decomp.V, decomp.U))]
         add("conjugacy", _max_abs(*(np.tril(m, -1) for m in conj)), 1e-9)
 
         quad = []
@@ -282,7 +274,7 @@ def map_similarity(
             f"axes={axes} out of range 1..{min(d1.rank_used, d2.rank_used)}"
         )
     r = d1.model.r
-    F1, F2 = (_columns(d, "f")[:, :axes].T for d in (d1, d2))
+    F1, F2 = (d.F[:, :axes].T for d in (d1, d2))
     # Row a * axes + b of this C-ordered 2-D block is r * f1_a * f2_b. The sum of a
     # contiguous row is numpy's pairwise sum, the float np.sum gives that pair alone.
     num = (r * F1[:, None, :] * F2[None, :, :]).reshape(axes * axes, -1).sum(axis=1)

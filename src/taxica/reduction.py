@@ -105,10 +105,13 @@ def proportional(x, y, tol: float = PROPORTIONAL_TOL) -> bool:
 def _proportional_groups(lines: np.ndarray, tol: float) -> list[list[int]]:
     """Partition line indices by transitive proportionality.
 
-    Line i is tested against all lines after it in one vectorized call, and
-    every hit joins a union-find whose roots are the smallest index of their
-    group. The grouping derives from the full pairwise relation, so it does
-    not depend on evaluation order.
+    Lines with different zero patterns are never proportional for tol < 1:
+    a cross-product of 0 differs from a nonzero one, which
+    ``_check_cross_products`` keeps normal, by more than tol times itself.
+    So lines are bucketed by zero pattern, and within a bucket, in index
+    order, line i is tested against the later lines in one vectorized call.
+    Every hit joins a union-find whose roots are the smallest index of
+    their group, so the grouping does not depend on evaluation order.
     """
     m = lines.shape[0]
     parent = list(range(m))
@@ -121,12 +124,17 @@ def _proportional_groups(lines: np.ndarray, tol: float) -> list[list[int]]:
 
     sums = lines.sum(axis=1)
     _check_cross_products(lines, sums)
-    for i in range(m - 1):
-        near = _proportional_to(lines[i], sums[i], lines[i + 1:], sums[i + 1:], tol)
-        for j in (np.flatnonzero(near) + (i + 1)).tolist():
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+    buckets: dict[bytes, list[int]] = {}
+    for i, key in enumerate(np.packbits(lines != 0, axis=1)):
+        buckets.setdefault(key.tobytes(), []).append(i)
+    for bucket in (b for b in buckets.values() if len(b) > 1):
+        members, block, block_sums = np.array(bucket), lines[bucket], sums[bucket]
+        for pos in range(len(bucket) - 1):
+            near = _proportional_to(block[pos], block_sums[pos], block[pos + 1 :], block_sums[pos + 1 :], tol)
+            for j in members[pos + 1 :][near].tolist():
+                ri, rj = find(bucket[pos]), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
 
     groups: dict[int, list[int]] = {}
     for i in range(m):

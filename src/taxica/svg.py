@@ -44,9 +44,9 @@ def emit_svg_biplot(decomp: Decomposition, axis_x: int, axis_y: int) -> str:
             raise ValidationError(
                 f"axis {axis} out of range 1..{decomp.rank_used}"
             )
-    ax, ay = decomp.axes[axis_x - 1], decomp.axes[axis_y - 1]
-    xs = np.concatenate([ax.f, ax.g])
-    ys = np.concatenate([ay.f, ay.g])
+    fx, fy, gx, gy = (X[:, a - 1] for X in (decomp.F, decomp.G) for a in (axis_x, axis_y))
+    xs = np.concatenate([fx, gx])
+    ys = np.concatenate([fy, gy])
     expl = explained_variation(decomp)
 
     def padded(lo: float, hi: float) -> tuple[float, float]:
@@ -82,9 +82,9 @@ def emit_svg_biplot(decomp: Decomposition, axis_x: int, axis_y: int) -> str:
             f'y2="{sy(0):.2f}" stroke="#bbbbbb" stroke-width="1"/>'
         )
 
-    row_labels = _fallback_labels(decomp.model.table.row_labels, ax.f.size)
-    col_labels = _fallback_labels(decomp.model.table.col_labels, ax.g.size)
-    for label, x, y in zip(row_labels, ax.f, ay.f):
+    row_labels = _fallback_labels(decomp.model.table.row_labels, fx.size)
+    col_labels = _fallback_labels(decomp.model.table.col_labels, gx.size)
+    for label, x, y in zip(row_labels, fx, fy):
         cx, cy = sx(float(x)), sy(float(y))
         parts.append(
             f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.5" fill="#1f77b4"/>'
@@ -93,7 +93,7 @@ def emit_svg_biplot(decomp: Decomposition, axis_x: int, axis_y: int) -> str:
             f'<text x="{cx + 5:.2f}" y="{cy - 4:.2f}" font-size="11" '
             f'font-family="sans-serif" fill="#1f77b4">{_escape(label)}</text>'
         )
-    for label, x, y in zip(col_labels, ax.g, ay.g):
+    for label, x, y in zip(col_labels, gx, gy):
         cx, cy = sx(float(x)), sy(float(y))
         parts.append(
             f'<polygon points="{cx:.2f},{cy - 4.5:.2f} {cx - 4:.2f},{cy + 3.5:.2f} '

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ca import RANK_CUTOFF, Axis, Decomposition, _deflate, axes_requested
+from .ca import RANK_CUTOFF, Decomposition, _deflate, axes_requested
 from .errors import ValidationError
 from .record import Record
 from .table import CorrespondenceModel
@@ -58,7 +58,11 @@ _U32 = 2.0**-24  # unit roundoff of float32
 
 def sign_vector(x: np.ndarray) -> np.ndarray:
     """Componentwise sign with the deterministic tie rule sign(0) = +1."""
-    return np.where(np.asarray(x) < 0, -1.0, 1.0)
+    # -2 b + 1 over the bool b = x < 0, exact since False * -2.0 = -0.0 and
+    # -0.0 + 1.0 = +1.0, and several times faster than np.where.
+    signs = np.asarray(np.multiply(np.less(x, 0.0), -2.0))  # an array also for 0-d x
+    signs += 1.0
+    return signs
 
 
 class TcaAxisSolution(Record):
@@ -374,7 +378,8 @@ def tca_axis_iterative(R) -> TcaAxisSolution:
     while True:
         n = V.shape[0]
         u_neg = np.less(_guarded_product(V, R, tol_u), 0.0, out=negative[:n, :J])
-        U = np.where(u_neg, -1.0, 1.0)  # u = sign(R' v)
+        U = np.multiply(u_neg, -2.0)  # u = sign(R' v), as sign_vector forms it
+        U += 1.0
         keys = np.packbits(negative[:n], axis=1).view(key)[:, 0]
         done = np.logical_or.reduce(history[:step] == keys)
         if step == history.shape[0]:
@@ -418,30 +423,27 @@ def tca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) ->
     R = model.R0
     noise_floor = 2 * (I + J + 2) * np.finfo(np.float64).eps * float(model.P.sum())
 
-    axes: list[Axis] = []
+    # Axis a fills row a of each C-ordered block; the blocks are cut to the
+    # axes kept, and their transposes are the decomposition's columns.
+    f_rows, v_rows, g_rows, u_rows = (np.empty((k, n)) for n in (I, I, J, J))
     solutions: list[TcaAxisSolution] = []
-    sigma_1 = None
     exhausted = False
-    for _ in range(k):
+    for a in range(k):
         sol = tca_axis_exact(R) if exact else tca_axis_iterative(R)
         sigma = sol.objective
-        if sigma_1 is None:
-            sigma_1 = sigma
+        sigma_1 = solutions[0].objective if solutions else sigma
         if sigma_1 <= noise_floor or sigma < RANK_CUTOFF * sigma_1:
             exhausted = True
             break
-        axis = Axis(f=(R @ sol.u) / r, g=(R.T @ sol.v) / c, sigma=sigma, u=sol.u, v=sol.v)
-        axes.append(axis)
+        f_rows[a], g_rows[a] = (R @ sol.u) / r, (R.T @ sol.v) / c
+        u_rows[a], v_rows[a] = sol.u, sol.v
         solutions.append(sol)
-        R = _deflate(R, r, c, axis)
+        R = _deflate(R, r, c, f_rows[a], g_rows[a], sigma)
 
-    return Decomposition(
-        method="TCA",
-        axes=tuple(axes),
-        model=model,
-        is_full_rank=exhausted or len(axes) == k_max,
-        solutions=tuple(solutions),
-    )
+    n = len(solutions)
+    F, G, U, V = (rows[:n].T for rows in (f_rows, g_rows, u_rows, v_rows))
+    sigmas = np.array([sol.objective for sol in solutions])
+    return Decomposition("TCA", F, G, U, V, sigmas, model, exhausted or n == k_max, tuple(solutions))
 
 
 def cut_norm_bruteforce(R) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from taxica import ContingencyTable, parse_table, validate_table
+from taxica import ContingencyTable, Decomposition, parse_table, validate_table
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -31,6 +31,19 @@ def cli_env(threads: str) -> dict[str, str]:
     if "PYTHONDONTWRITEBYTECODE" in os.environ:
         env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return env
+
+
+def stacked_decomposition(method: str, axes, model, **fields) -> Decomposition:
+    """A :class:`Decomposition` of ``model`` whose columns are the vectors of
+    the :class:`Axis` records ``axes``, each matrix the transpose of a
+    C-ordered k x n block, as the decompositions store them."""
+    I, J = model.shape
+    F, G, U, V = (
+        np.array([getattr(axis, name) for axis in axes]).reshape(len(axes), n).T
+        for name, n in (("f", I), ("g", J), ("u", J), ("v", I))
+    )
+    sigmas = np.array([axis.sigma for axis in axes])
+    return Decomposition(method, F, G, U, V, sigmas, model, **fields)
 
 
 def load_table(name: str) -> ContingencyTable:

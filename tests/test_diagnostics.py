@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from taxica import (
     Axis,
-    Decomposition,
     NumericalError,
     ValidationError,
     build_model,
@@ -24,7 +23,7 @@ from taxica import (
 
 from taxica.diagnostics import MAX_MATCHED_AXES, CheckResult, _best_pairing
 
-from helpers import assert_row_matches_up_to_sign, make_table
+from helpers import assert_row_matches_up_to_sign, make_table, stacked_decomposition
 
 TV_C1 = [24, 83, 106, 45, 40, 1, 700]
 TV_C2 = [128, 285, 63, 181, 330, 2, 11]
@@ -163,7 +162,7 @@ def corrupted_ca(toy_minimal):
     good = ca_decompose(build_model(toy_minimal))
     axis = good.axes[0]
     bad_axis = Axis(f=axis.f * 1.05, g=axis.g.copy(), sigma=axis.sigma, u=axis.u.copy(), v=axis.v.copy())
-    return Decomposition(method="CA", axes=(bad_axis,), model=good.model, is_full_rank=True)
+    return stacked_decomposition("CA", (bad_axis,), good.model, is_full_rank=True)
 
 
 class TestContributions:
@@ -231,7 +230,7 @@ class TestContributions:
         I, J = model.shape
         axis = Axis(np.zeros(I), np.zeros(J), 0.0, np.ones(J), np.ones(I))
         with pytest.raises(ValidationError, match="zero-dispersion axis"):
-            contributions(Decomposition(method, (axis,), model))
+            contributions(stacked_decomposition(method, (axis,), model))
 
 
 class TestExplainedVariation:
@@ -262,7 +261,7 @@ class TestExplainedVariation:
         model = build_model(make_table([[3, 1], [1, 3]]))
         (axis,) = tca_decompose(model).axes
         tiny = Axis(f=axis.f * 1e-300, g=axis.g * 1e-300, sigma=1e-300, u=axis.u, v=axis.v)
-        decomp = Decomposition(method="TCA", axes=(tiny,), model=model)
+        decomp = stacked_decomposition("TCA", (tiny,), model)
         with pytest.raises(NumericalError, match="underflow"):
             explained_variation(decomp)
 
@@ -300,12 +299,10 @@ class TestVerify:
     def test_quadrant_balance_on_a_hand_built_decomposition(self, tv_tca):
         # Flipping every axis keeps each quadrant sum; the residuals are
         # replayed from the flipped axes, which deflate the same terms.
-        flipped = Decomposition(
-            method="TCA",
-            axes=tuple(
-                Axis(f=-a.f, g=-a.g, sigma=a.sigma, u=-a.u, v=-a.v) for a in tv_tca.axes
-            ),
-            model=tv_tca.model,
+        flipped = stacked_decomposition(
+            "TCA",
+            tuple(Axis(f=-a.f, g=-a.g, sigma=a.sigma, u=-a.u, v=-a.v) for a in tv_tca.axes),
+            tv_tca.model,
             is_full_rank=tv_tca.is_full_rank,
         )
         report = verify(flipped)
@@ -386,11 +383,8 @@ class TestMapSimilarity:
         flipped_axes = tuple(
             Axis(f=-a.f, g=-a.g, sigma=a.sigma, u=-a.u, v=-a.v) for a in tv_tca.axes
         )
-        flipped = Decomposition(
-            method="TCA",
-            axes=flipped_axes,
-            model=tv_tca.model,
-            is_full_rank=tv_tca.is_full_rank,
+        flipped = stacked_decomposition(
+            "TCA", flipped_axes, tv_tca.model, is_full_rank=tv_tca.is_full_rank
         )
         base = map_similarity(tv_ca, tv_tca, axes=2)
         alt = map_similarity(tv_ca, flipped, axes=2)

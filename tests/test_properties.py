@@ -18,6 +18,8 @@ from taxica import (
     verify,
 )
 
+from taxica.errors import NumericalError
+from taxica.reduction import _check_cross_products, _proportional_to, _proportional_groups
 from taxica.tca import _enumerate_best
 
 from helpers import enumerate_oracle, make_table
@@ -226,6 +228,66 @@ class TestProportionalityProperties:
         assert scaled.ave == pytest.approx(4 * base.ave, rel=1e-12)
         assert scaled.pct_zero == base.pct_zero
         assert scaled.mh1 == tuple(4 * v for v in base.mh1)
+
+
+def full_pair_scan(lines: np.ndarray, tol: float) -> list[list[int]]:
+    """Reference for ``_proportional_groups``: line i tested against every
+    later line, whatever its zero pattern, into the same union-find."""
+    m = lines.shape[0]
+    parent = list(range(m))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    sums = lines.sum(axis=1)
+    _check_cross_products(lines, sums)
+    for i in range(m - 1):
+        near = _proportional_to(lines[i], sums[i], lines[i + 1 :], sums[i + 1 :], tol)
+        for j in (np.flatnonzero(near) + (i + 1)).tolist():
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    groups: dict[int, list[int]] = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return [groups[k] for k in sorted(groups)]
+
+
+@st.composite
+def tiny_reducible_matrices(draw):
+    """``reducible_matrices`` scaled into the low normal range (entries near
+    2^-500, so entry times line sum stays normal), with one entry nudged by
+    a relative 0 to 4e-9, across ``PROPORTIONAL_TOL``."""
+    counts = draw(reducible_matrices())
+    scale = draw(st.floats(1.0, 2.0)) * 2.0 ** draw(st.integers(-505, -480))
+    lines = counts * scale
+    i, j = draw(st.integers(0, lines.shape[0] - 1)), draw(st.integers(0, lines.shape[1] - 1))
+    lines[i, j] *= 1.0 + draw(st.sampled_from([0.0, 5e-10, 1e-9, 2e-9, 4e-9]))
+    return lines
+
+
+class TestBucketedProportionalGroups:
+    """The zero-pattern buckets find the groups of the full pair scan."""
+
+    @given(reducible_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_reducible_tables(self, counts):
+        for lines in (counts, counts.T):
+            assert _proportional_groups(lines, 1e-9) == full_pair_scan(lines, 1e-9)
+
+    @given(tiny_reducible_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_tiny_normal_range_entries(self, lines):
+        for side in (lines, lines.T):
+            try:
+                want = full_pair_scan(side, 1e-9)
+            except NumericalError:
+                with pytest.raises(NumericalError):
+                    _proportional_groups(side, 1e-9)
+            else:
+                assert _proportional_groups(side, 1e-9) == want
 
 
 class TestDecompositionProperties:

@@ -26,13 +26,18 @@ from taxica import (
     TcaAxisSolution,
     VerificationReport,
     build_model,
+    ca_decompose,
+    tca_decompose,
 )
 from taxica.record import Record, ValueRecord
+
+from helpers import stacked_decomposition
 
 TABLE = ContingencyTable(("a", "b"), ("x", "y"), [[1.0, 2.0], [3.0, 4.0]])
 MODEL = build_model(TABLE)
 SIGNS = np.array([1.0, -1.0])
 AXIS = Axis(np.array([1.0, -1.0]), np.array([0.5, -0.5]), 0.25, SIGNS, SIGNS)
+DECOMP = stacked_decomposition("CA", (AXIS, AXIS), MODEL)  # two columns, so the layout shows
 CHECK = CheckResult("centering", 0.0, 1e-9, True)
 STEP = MergeStep("row", (0, 2), "r1+r3")
 GROUPS = ((0,), (1,))
@@ -43,7 +48,9 @@ RECORDS = {
     ContingencyTable: ((TABLE.row_labels, TABLE.col_labels, TABLE.counts), "n", False),
     CorrespondenceModel: ((TABLE, MODEL.P, MODEL.r, MODEL.c, MODEL.R0), "P", False),
     Axis: ((AXIS.f, AXIS.g, 0.25, SIGNS, SIGNS), "sigma", False),
-    Decomposition: (("CA", (AXIS,), MODEL), "axes", False),
+    Decomposition: (
+        ("CA", DECOMP.F, DECOMP.G, DECOMP.U, DECOMP.V, DECOMP.sigmas, MODEL), "F", False
+    ),
     TcaAxisSolution: ((SIGNS, np.ones(2), 0.5, "exact", 2, True), "objective", False),
     ContributionTable: (("CA", np.ones((2, 1)), np.ones((2, 1))), "row_values", False),
     ReductionTrace: ((TABLE, TABLE, (), GROUPS, GROUPS), "steps", False),
@@ -162,15 +169,18 @@ def test_pickle_round_trip(cls):
         if by_value:
             assert clone == record
         for name in cls.__slots__:
-            value = getattr(clone, name)
+            value, original = getattr(clone, name), getattr(record, name)
             if isinstance(value, np.ndarray):
                 assert value.flags.writeable is False, name
+                layout = [(x.flags.c_contiguous, x.flags.f_contiguous) for x in (value, original)]
+                assert layout[0] == layout[1], name
+                assert value.tobytes("A") == original.tobytes("A"), name
 
 
 def test_reprs():
     assert repr(TABLE) == "ContingencyTable(2x2, n=10)"
     assert repr(MODEL) == "CorrespondenceModel(2x2, n=10)"
-    assert repr(Decomposition("CA", (AXIS,), MODEL)) == "Decomposition(CA, rank=1)"
+    assert repr(stacked_decomposition("CA", (AXIS,), MODEL)) == "Decomposition(CA, rank=1)"
     assert repr(CHECK) == (
         "CheckResult(name='centering', max_residual=0.0, tolerance=1e-09, passed=True, "
         "applicable=True, note='')"
@@ -180,6 +190,27 @@ def test_reprs():
 
 def test_defaults():
     assert (CHECK.applicable, CHECK.note) == (True, "")
-    decomp = Decomposition("CA", (AXIS,), MODEL)
+    decomp = stacked_decomposition("CA", (AXIS,), MODEL)
     assert (decomp.is_full_rank, decomp.solutions) == (True, None)
     assert TABLE.n == 10.0
+
+
+@pytest.mark.parametrize("decompose", [ca_decompose, tca_decompose], ids=["CA", "TCA"])
+@pytest.mark.parametrize("transpose", [False, True], ids=["13x7", "7x13"])
+def test_axes_are_the_columns_bit_for_bit(tv_table, decompose, transpose):
+    table = tv_table
+    if transpose:
+        table = ContingencyTable(table.col_labels, table.row_labels, table.counts.T)
+    decomp = decompose(build_model(table))
+    (I, J), k = table.shape, decomp.rank_used
+    shapes = {"F": (I, k), "G": (J, k), "U": (J, k), "V": (I, k)}
+    for name, shape in shapes.items():
+        columns = getattr(decomp, name)
+        assert columns.shape == shape and columns.T.flags.c_contiguous, name
+    assert decomp.sigmas.shape == (k,) and len(decomp.axes) == k
+    for a, axis in enumerate(decomp.axes):
+        assert type(axis.sigma) is float and axis.sigma == decomp.sigmas[a]
+        for name in shapes:
+            vector, column = getattr(axis, name.lower()), getattr(decomp, name)[:, a]
+            assert np.shares_memory(vector, column) and vector.flags.writeable is False
+            assert vector.tobytes() == column.tobytes(), (a, name)

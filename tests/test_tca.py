@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from taxica import (
@@ -63,6 +64,39 @@ BAD_AXIS_MATRICES = [
     (np.zeros((3, 0)), "nonempty"),
 ]
 BAD_AXIS_IDS = ["all-nan", "infinite-entry", "vector", "no-columns"]
+
+
+#: Float arrays of up to two dimensions, some empty, that draw +-0.0, NaN,
+#: infinities and subnormals often; int arrays, float32 vectors and scalars.
+SIGN_INPUTS = st.one_of(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+        elements=st.one_of(
+            st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324]),
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        ),
+    ),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)),
+    hnp.arrays(np.float32, st.integers(0, 8), elements=st.floats(width=32)),
+    st.one_of(st.integers(-3, 3), st.floats(allow_nan=True)).map(np.asarray),
+)
+
+
+class TestSignVector:
+    @given(SIGN_INPUTS, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_where_form_bit_for_bit(self, x, as_list):
+        if as_list:
+            x = x.tolist()
+        got, want = sign_vector(x), np.where(np.asarray(x) < 0, -1.0, 1.0)
+        assert type(got) is type(want) and (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    def test_zero_is_plus_one_and_never_negative_zero(self):
+        got = sign_vector([-0.0, 0.0, -1e-320, np.nan, -3])
+        assert got.tolist() == [1.0, 1.0, -1.0, 1.0, -1.0]
+        assert not np.signbit(got[:2]).any()
 
 
 class TestAxisExact:

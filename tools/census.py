@@ -1,4 +1,5 @@
-"""Byte-for-byte census of the benchmark workloads' CLI calls between two trees.
+"""Byte-for-byte census of the benchmark workloads' CLI calls and of the
+demos between two trees.
 
 Usage (from the repository root):
 
@@ -8,10 +9,14 @@ For each seed, the four workloads' CSV files are built once with
 ``perfbench/workloads.py``. Every distinct call of their cycles then runs in
 both trees as ``python -m taxica`` with ``PYTHONPATH=<tree>/src`` and one
 BLAS/OpenMP thread, two calls at a time, and once more with ``--format
-table`` where the subcommand takes ``--format``. A call matches when its
-stdout bytes, its stderr (with the input path masked) and its exit code are
-equal. Each differing call is printed, then the count; the exit code is 1 on
-any difference, else 0.
+table`` where the subcommand takes ``--format``. Each script in the parent's
+``demos/`` runs in both trees the same way, and writes its files into that
+tree's ``demos/output/``. A call or demo matches when its stdout bytes, its
+stderr and its exit code are equal, with the input path (of a call) or the
+tree path (of a demo) masked, and a demo also when every file its stdout
+says it wrote (``wrote PATH``) has the same bytes in both trees. Each
+difference is printed, then the count; the exit code is 1 on any
+difference, else 0.
 """
 from __future__ import annotations
 
@@ -60,15 +65,25 @@ def distinct_calls(seeds: list[int], directory: Path) -> list[tuple[str, tuple[s
     return list(calls.values())
 
 
-def run(tree: Path, argv: tuple[str, ...], path: Path, cwd: Path) -> tuple[bytes, bytes, int]:
+def run(tree: Path, args: list[str], cwd: Path, mask: Path) -> tuple[bytes, bytes, int]:
+    """stdout, stderr and exit code of ``python ARGS`` on ``tree``'s ``src/``
+    at one thread, with ``mask`` replaced by ``<mask>`` in both streams."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    proc = subprocess.run(
-        [sys.executable, "-m", "taxica", *argv, "--input", str(path)],
-        capture_output=True, env=env, cwd=cwd, timeout=600,
-    )
-    return proc.stdout, proc.stderr.replace(os.fsencode(path), b"<input>"), proc.returncode
+    proc = subprocess.run([sys.executable, *args], capture_output=True, env=env, cwd=cwd, timeout=600)
+    token = os.fsencode(mask)
+    return proc.stdout.replace(token, b"<mask>"), proc.stderr.replace(token, b"<mask>"), proc.returncode
+
+
+def written(stdout: bytes) -> list[str]:
+    """The tree-relative paths of the files a demo's stdout says it wrote."""
+    lead = b"wrote <mask>/"
+    return [line[len(lead):].decode() for line in stdout.splitlines() if line.startswith(lead)]
+
+
+def file_bytes(path: Path) -> bytes | None:
+    return path.read_bytes() if path.is_file() else None
 
 
 def main(argv: list[str]) -> int:
@@ -83,21 +98,32 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="taxica-census-") as tmp:
         directory = Path(tmp)
         calls = distinct_calls(seeds, directory)
+        demos = sorted(path.name for path in (trees[0] / "demos").glob("*.py"))
 
-        def compare(call) -> str | None:
-            label, call_argv, path = call
-            parent, change = (run(tree, call_argv, path, directory) for tree in trees)
+        def compare(job) -> str | None:
+            if isinstance(job, str):
+                label = f"demo {job}"
+                parent, change = (run(tree, [str(tree / "demos" / job)], directory, tree) for tree in trees)
+            else:
+                name, call_argv, path = job
+                label = f"{name}: taxica {' '.join(call_argv)} --input {path.name}"
+                args = ["-m", "taxica", *call_argv, "--input", str(path)]
+                parent, change = (run(tree, args, directory, path) for tree in trees)
             what = [part for part, a, b in zip(("stdout", "stderr", "exit code"), parent, change) if a != b]
-            if not what:
-                return None
-            return f"{label}: taxica {' '.join(call_argv)} --input {path.name}: {', '.join(what)} differ"
+            what += [
+                rel for rel in written(parent[0])
+                if file_bytes(trees[0] / rel) != file_bytes(trees[1] / rel)
+            ]
+            return f"{label}: {', '.join(what)} differ" if what else None
 
         with ThreadPoolExecutor(max_workers=JOBS) as pool:
-            diffs = [d for d in pool.map(compare, calls) if d is not None]
+            diffs = [d for d in pool.map(compare, [*calls, *demos]) if d is not None]
 
     for line in diffs:
         print(line)
-    print(f"{len(diffs)} of {len(calls)} distinct calls differ (seeds {args.seeds})")
+    print(
+        f"{len(diffs)} of {len(calls)} distinct calls and {len(demos)} demos differ (seeds {args.seeds})"
+    )
     return 1 if diffs else 0
 
 
