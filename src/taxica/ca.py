@@ -11,6 +11,10 @@ coordinates g satisfy, per axis with dispersion sigma:
     f' Dr f = g' Dc g = sigma^2    (weighted L2 norms)
 
 and distinct axes are Dr- / Dc-orthogonal.
+
+The eigensolver's rotations are elementwise, and every product whose bits
+reach the output is an ``np.einsum``, which numpy sums in a fixed order;
+neither calls BLAS, so no output depends on the BLAS kernel or thread count.
 """
 from __future__ import annotations
 
@@ -143,9 +147,6 @@ def symmetric_eigen(A) -> tuple[np.ndarray, np.ndarray]:
     [-EIGEN_TOL * ||A||, 0) are clamped to 0; anything more negative is
     rejected as not PSD. Returns ``(lam, V)`` with unit-norm eigenvectors in
     the columns of ``V``.
-
-    The rotation loop uses elementwise updates only (no BLAS), so results are
-    bit-identical regardless of BLAS threading.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -161,7 +162,7 @@ def symmetric_eigen(A) -> tuple[np.ndarray, np.ndarray]:
     a = 0.5 * (A + A.T)
     V = np.eye(n)
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
+        norm = float(np.sqrt(np.einsum("ij,ij->", a, a)))
     if not np.isfinite(norm):
         raise NumericalError("matrix norm overflows")
     if norm == 0.0:
@@ -248,15 +249,14 @@ def ca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) -> 
     if transposed:
         S, P, r, c = S.T, P.T, c, r
 
-    # Not S.T @ S: at some shapes BLAS splits that sum by thread, and the bits vary.
     lam, X = symmetric_eigen(np.einsum("ki,kj->ij", S, S))
     sigma = np.sqrt(lam)
     # The weight direction is an exact null vector of S; residual null-space
     # contamination of near-zero axes gets amplified by 1/sigma^2 in the
     # transition identities, so project it out analytically.
     trivial = np.sqrt(c)
-    trivial = trivial / np.linalg.norm(trivial)
-    X = X - np.outer(trivial, trivial @ X)
+    trivial = trivial / np.sqrt(np.einsum("i,i->", trivial, trivial))
+    X = X - np.outer(trivial, np.einsum("i,ij->j", trivial, X))
     norms = np.linalg.norm(X, axis=0)
     X = X / np.where(norms > 0, norms, 1.0)
 
@@ -267,11 +267,10 @@ def ca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) -> 
     n_nonzero = 0 if sigma[0] < noise_floor else int(kept)
     n_keep = min(k, n_nonzero)
 
-    # One C-ordered k x n block per side, row a holding axis a. P @ g takes
-    # each g as a contiguous row: on a strided view the product can change bits.
+    # One C-ordered k x n block per side, row a holding axis a.
     s = sigma[:n_keep]
     g_rows = np.ascontiguousarray(X[:, :n_keep].T) * s[:, None] / np.sqrt(c)
-    f_rows = np.array([P @ g for g in g_rows]).reshape(n_keep, len(r)) / r / s[:, None]
+    f_rows = np.einsum("kj,ij->ki", g_rows, P) / r / s[:, None]
     if transposed:
         f_rows, g_rows = g_rows, f_rows
     # Make each axis's largest-magnitude column coordinate positive (ties:

@@ -48,8 +48,8 @@ _ENUM_CHUNK_BITS = 11
 _ENUM_CHUNK = 1 << _ENUM_CHUNK_BITS
 
 #: Consecutive candidates scored again in float64 around each candidate the
-#: float32 screen keeps. Scoring 64 columns of a 120x15 R took 23 us, one
-#: column 9 us and a whole chunk 490 us (2-vCPU Xeon VM, 1 BLAS thread).
+#: float32 screen keeps. With ``np.einsum``, 64 columns of a 120x15 R took
+#: 41 us, one column 3.5 us and a whole chunk 920 us (2-vCPU Xeon VM).
 _SCREEN_WINDOW = 64
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -90,7 +90,7 @@ def _axis_matrix(R) -> np.ndarray:
 def _solution(R: np.ndarray, u: np.ndarray, solver: str, starts: int) -> TcaAxisSolution:
     """The solution of sign vector u on R: v = sign(R u) and the objective
     ||R u||_1, both from one product."""
-    Ru = R @ u
+    Ru = np.einsum("ij,j->i", R, u)
     return TcaAxisSolution(u, sign_vector(Ru), float(np.abs(Ru).sum()), solver, starts, converged=True)
 
 
@@ -107,9 +107,10 @@ def _enumerate_best(R: np.ndarray) -> tuple[float, np.ndarray, int]:
     preallocated buffers. Within a chunk only the low ``_ENUM_CHUNK_BITS``
     bits of m vary, so the low rows of the sign block are built once and the
     high rows are refilled with one constant each per chunk. Each objective
-    is still one gemm element per cell and a row-by-row column sum, so it is
-    the same float as in a one-shot ``np.abs(R @ signs).sum(axis=0)``, and
-    the same when a run of columns of the chunk is scored alone.
+    is one ``np.einsum`` element per cell (its dim exact terms added in
+    ascending j) and a row-by-row column sum, so it is the same float as in
+    one einsum over every candidate, and the same when a run of columns of
+    the chunk is scored alone.
 
     A half-sphere of more than one chunk is first screened in float32 (see
     ``_screen``), and only the windows of ``_SCREEN_WINDOW`` candidates that
@@ -149,7 +150,7 @@ def _enumerate_best(R: np.ndarray) -> tuple[float, np.ndarray, int]:
             signs[:high, :] = chunk_signs[:, chunk, None]
             filled = chunk
         scores = buf[: I * (stop - start)].reshape(I, stop - start)
-        np.matmul(R, signs[:, start:stop], out=scores)
+        np.einsum("ij,jm->im", R, signs[:, start:stop], out=scores)
         np.abs(scores, out=scores)
         np.add.reduce(scores, axis=0, out=objs[: stop - start])
         i = int(np.argmax(objs[: stop - start]))
@@ -283,23 +284,23 @@ def tca_axis_exact(R) -> TcaAxisSolution:
         _, u, tried = _enumerate_best(R)
     else:
         _, v_enum, tried = _enumerate_best(R.T)
-        u = sign_vector(R.T @ v_enum)
+        u = sign_vector(np.einsum("ij,i->j", R, v_enum))
     return _solution(R, u, "exact", tried)
 
 
 def _guarded_product(X: np.ndarray, M: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """X @ M whose rows x have the signs of the per-vector ``M.T @ x``.
+    """X @ M whose rows x have the signs of ``np.einsum("k,kj->j", x, M)``.
 
-    A gemm entry can differ from the matching gemv entry in the last bits,
-    which flips a sign only where the exact value is zero up to rounding.
-    Rows with an entry within ``tol`` of zero are recomputed as ``M.T @ x``
-    on a contiguous copy of x, so every row is the per-vector result.
+    A gemm entry can differ from the einsum entry in the last bits, which
+    flips a sign only where the exact value is zero up to rounding. Rows
+    with an entry within ``tol`` of zero are recomputed with the einsum, so
+    every row is the per-vector result.
     """
     Y = X @ M
     near = np.abs(Y) <= tol
     if np.count_nonzero(near):
         for a in near.any(axis=1).nonzero()[0]:
-            Y[a] = M.T @ X[a].copy()
+            Y[a] = np.einsum("k,kj->j", X[a], M)
     return Y
 
 
@@ -321,8 +322,8 @@ def _rescore_margin(I: int, J: int, abs_total: float) -> float:
 
 
 def _best_end_point(R: np.ndarray, U: np.ndarray, abs_total: float) -> np.ndarray:
-    """Best +-1 row u of U: the largest ``float(np.abs(R @ u).sum())``, ties
-    going to the lexicographically smallest u (+1 before -1), the rule
+    """Best +-1 row u of U: the largest ||R u||_1 as ``_solution`` sums it,
+    ties going to the lexicographically smallest u (+1 before -1), the rule
     ``_enumerate_best`` applies.
 
     All rows are scored in one product, as the row sums of |U R'|. The
@@ -334,7 +335,7 @@ def _best_end_point(R: np.ndarray, U: np.ndarray, abs_total: float) -> np.ndarra
     near = U[approx >= approx.max() - _rescore_margin(*R.shape, abs_total)]
     # +1.0 and -1.0 differ only in the sign-bit byte, so bytes sort +1 first
     keys = sorted({u.tobytes() for u in near})
-    objectives = [float(np.abs(R @ np.frombuffer(key)).sum()) for key in keys]
+    objectives = [float(np.abs(np.einsum("ij,j->i", R, np.frombuffer(key))).sum()) for key in keys]
     return np.frombuffer(keys[objectives.index(max(objectives))]).copy()
 
 
@@ -355,8 +356,8 @@ def tca_axis_iterative(R) -> TcaAxisSolution:
     order (n = I for R' v, J for R u; gamma_n < (n + 2) eps / 2), so two
     orders can disagree on its sign only where both are within twice that
     of zero. A start with an entry within 2 (n + 2) eps sum_k |M_ik| of zero
-    is recomputed with the per-start gemv, so results are bit-identical to
-    running each start alone, whatever order the BLAS sums in. So v is a
+    is recomputed with the per-vector einsum, so results are bit-identical
+    to running each start alone, whatever order the BLAS sums in. So v is a
     function of u, and a state repeats exactly when its u does: each start
     keeps only its u, packed into 64-bit words, and is tested for a repeat
     right after the u half-step, so a start that stops skips the v product.
@@ -435,7 +436,7 @@ def tca_decompose(model: CorrespondenceModel, max_axes: Optional[int] = None) ->
         if sigma_1 <= noise_floor or sigma < RANK_CUTOFF * sigma_1:
             exhausted = True
             break
-        f_rows[a], g_rows[a] = (R @ sol.u) / r, (R.T @ sol.v) / c
+        f_rows[a], g_rows[a] = np.einsum("ij,j->i", R, sol.u) / r, np.einsum("ij,i->j", R, sol.v) / c
         u_rows[a], v_rows[a] = sol.u, sol.v
         solutions.append(sol)
         R = _deflate(R, r, c, f_rows[a], g_rows[a], sigma)

@@ -607,7 +607,7 @@ WIDE = "<wide 60x44 table>"
 THREADED_GRAM = "<97x97 table>"
 
 #: Placeholder for a seeded 400x16 table with 60% zeros: TCA enumerates the
-#: 2^15 sign vectors of each axis in gemm chunks over all 400 rows.
+#: 2^15 sign vectors of each axis in chunks over all 400 rows.
 EXACT_TALL = "<400x16 table>"
 
 #: The writer of each placeholder's table.
@@ -637,14 +637,14 @@ class TestDeterminism:
     def test_byte_identical_across_processes_and_thread_counts(self, argv, tmp_path):
         argv = [SEEDED_TABLES[a](tmp_path) if a in SEEDED_TABLES else a for a in argv]
 
-        def run(threads):
+        def run(threads, **kernel):
             proc = subprocess.run(
                 [sys.executable, "-m", "taxica", *argv],
                 capture_output=True,
-                env=cli_env(threads),
+                env={**cli_env(threads), **kernel},
             )
             assert proc.returncode == 0, (
-                f"{argv[0]} exited {proc.returncode} with {threads} threads: "
+                f"{argv[0]} exited {proc.returncode} with {threads} threads {kernel}: "
                 + proc.stderr.decode(errors="replace").strip()
             )
             return proc.stdout
@@ -653,6 +653,10 @@ class TestDeterminism:
         assert first == run("1")
         assert first == run("4")
         assert first == run("8")
+        # Another OpenBLAS kernel sums its products in another order. A build
+        # without runtime kernel selection ignores the variable, and this run
+        # repeats the default kernel.
+        assert first == run("1", OPENBLAS_CORETYPE="Sandybridge")
 
 
 def run_child(code: str, *args: str) -> subprocess.CompletedProcess:

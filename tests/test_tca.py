@@ -308,21 +308,22 @@ def _near_tie(seed, rows=60, dim=14, gap=1e-9):
 
 
 def _ascent_end_points(R):
-    """One start at a time: seed v = sign(R e_j), alternate gemv half-steps
-    until a (u, v) state repeats. Returns (objective, u, steps) of every
-    start, where steps counts its u half-steps, the last one included."""
+    """One start at a time: seed v = sign(R e_j), alternate half-steps, each
+    the per-vector ``np.einsum`` of ``tca``, until a (u, v) state repeats.
+    Returns (objective, u, steps) of every start, where steps counts its u
+    half-steps, the last one included."""
     ends = []
     for j in range(R.shape[1]):
         v = sign_vector(R[:, j])
         seen = set()
         while True:
-            u = sign_vector(R.T @ v)
-            v = sign_vector(R @ u)
+            u = sign_vector(np.einsum("ij,i->j", R, v))
+            v = sign_vector(np.einsum("ij,j->i", R, u))
             state = u.tobytes() + v.tobytes()
             if state in seen:
                 break
             seen.add(state)
-        ends.append((float(np.abs(R @ u).sum()), u, len(seen) + 1))
+        ends.append((float(np.abs(np.einsum("ij,j->i", R, u)).sum()), u, len(seen) + 1))
     return ends
 
 
@@ -338,24 +339,25 @@ def _assert_matches_ascent_oracle(R):
     objective, u = _ascent_oracle(R)
     assert sol.objective == objective
     assert sol.u.tolist() == u.tolist()
-    assert sol.v.tolist() == sign_vector(R @ u).tolist()
+    assert sol.v.tolist() == sign_vector(np.einsum("ij,j->i", R, u)).tolist()
     assert sol.starts_tried == R.shape[1]
 
 
 #: 21x24 counts, one digit per cell. Several row and column sums of R0 over
-#: sign vectors cancel exactly, and with OpenBLAS 0.3.31 on x86-64 a gemm
-#: over all starts at once rounds some of them to the other side of zero
-#: than the per-start gemv does, so the ascent picks another axis unless
-#: the rounding guard recomputes those starts. Other BLAS builds may round
-#: alike; the test then checks the same equality without needing the guard.
+#: sign vectors cancel exactly, and with OpenBLAS 0.3.31 on x86-64 (its
+#: default, Sandybridge and Prescott kernels) a gemm over all starts at once
+#: rounds some of them to the other side of zero than the per-start einsum
+#: does, so the ascent picks another axis unless the rounding guard
+#: recomputes those starts. Other BLAS builds may round alike; the test then
+#: checks the same equality without needing the guard.
 PINNED_ASCENT_TABLE = """
-002000000000000000001300 000000011000000030000101 000000000000000010000010
-000000000000000000010000 110000000000000000004200 000000000000100000000000
-000002001000000100000001 000000010000000000000000 010010000000010010000100
-000001000000010002000000 100000100010000000000100 000000000100000000000000
-000002000001000000000003 000110000001000010000000 000000000000100002200000
-000000000200000000010000 000002010000012000101100 010000200000000001000010
-000000000200000000100001 000100000051100000002000 100000000001000100000000
+000100010120301000001000 000000000000000000021000 000000000100000000000000
+000000000000000000000001 400020000000000000010000 000000000000100000001000
+000010000000000000000000 020000000002000000000000 000000002100000000000000
+001000000000000000000000 000000100000010000012000 000000000000000000000010
+000001300000000000000000 000000000000000000001000 000300000040000000000000
+000200002000000001100000 300110001020000010000120 000002000001000000100000
+100000000200000200000000 002100000010000000000000 400002000100000000500000
 """
 
 

@@ -1,5 +1,5 @@
 """Byte-for-byte census of the benchmark workloads' CLI calls and of the
-demos between two trees.
+demos between two trees, and of the change tree across OpenBLAS kernels.
 
 Usage (from the repository root):
 
@@ -14,9 +14,12 @@ table`` where the subcommand takes ``--format``. Each script in the parent's
 tree's ``demos/output/``. A call or demo matches when its stdout bytes, its
 stderr and its exit code are equal, with the input path (of a call) or the
 tree path (of a demo) masked, and a demo also when every file its stdout
-says it wrote (``wrote PATH``) has the same bytes in both trees. Each
-difference is printed, then the count; the exit code is 1 on any
-difference, else 0.
+says it wrote (``wrote PATH``) has the same bytes in both trees. Each call
+and demo of the change tree then runs once more under
+``OPENBLAS_CORETYPE=Sandybridge``, and differs when its stdout or a file it
+wrote changes from the default kernel's. (An OpenBLAS build without runtime
+kernel selection ignores the variable.) Each difference is printed, then
+the count; the exit code is 1 on any difference, else 0.
 """
 from __future__ import annotations
 
@@ -33,6 +36,10 @@ import workloads  # noqa: E402
 
 #: Calls run at once: one per core of a 2-vCPU machine, each at one BLAS thread.
 JOBS = 2
+
+#: The OpenBLAS kernel (``OPENBLAS_CORETYPE``) each call and demo of the
+#: change tree runs under again.
+KERNEL = "Sandybridge"
 
 #: Subcommands that take ``--format {json,table}``; ``plot`` writes SVG only.
 FORMAT_COMMANDS = {"summarize", "reduce", "ca", "tca", "compare", "verify"}
@@ -65,10 +72,15 @@ def distinct_calls(seeds: list[int], directory: Path) -> list[tuple[str, tuple[s
     return list(calls.values())
 
 
-def run(tree: Path, args: list[str], cwd: Path, mask: Path) -> tuple[bytes, bytes, int]:
+def run(
+    tree: Path, args: list[str], cwd: Path, mask: Path, kernel: str | None = None
+) -> tuple[bytes, bytes, int]:
     """stdout, stderr and exit code of ``python ARGS`` on ``tree``'s ``src/``
-    at one thread, with ``mask`` replaced by ``<mask>`` in both streams."""
+    at one thread, under the OpenBLAS kernel ``kernel`` if one is named, with
+    ``mask`` replaced by ``<mask>`` in both streams."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    if kernel:
+        env["OPENBLAS_CORETYPE"] = kernel
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     proc = subprocess.run([sys.executable, *args], capture_output=True, env=env, cwd=cwd, timeout=600)
@@ -100,19 +112,31 @@ def main(argv: list[str]) -> int:
         calls = distinct_calls(seeds, directory)
         demos = sorted(path.name for path in (trees[0] / "demos").glob("*.py"))
 
+        def outcome(job, tree: Path, kernel: str | None = None) -> tuple[bytes, bytes, int]:
+            """``run`` of a call or demo on ``tree``, masking its input or the tree."""
+            if isinstance(job, str):
+                return run(tree, [str(tree / "demos" / job)], directory, tree, kernel)
+            _, call_argv, path = job
+            return run(tree, ["-m", "taxica", *call_argv, "--input", str(path)], directory, path, kernel)
+
         def compare(job) -> str | None:
             if isinstance(job, str):
                 label = f"demo {job}"
-                parent, change = (run(tree, [str(tree / "demos" / job)], directory, tree) for tree in trees)
             else:
                 name, call_argv, path = job
                 label = f"{name}: taxica {' '.join(call_argv)} --input {path.name}"
-                args = ["-m", "taxica", *call_argv, "--input", str(path)]
-                parent, change = (run(tree, args, directory, path) for tree in trees)
+            parent, change = (outcome(job, tree) for tree in trees)
             what = [part for part, a, b in zip(("stdout", "stderr", "exit code"), parent, change) if a != b]
             what += [
                 rel for rel in written(parent[0])
                 if file_bytes(trees[0] / rel) != file_bytes(trees[1] / rel)
+            ]
+            files = {rel: file_bytes(trees[1] / rel) for rel in written(change[0])}
+            if outcome(job, trees[1], KERNEL)[0] != change[0]:
+                what.append(f"stdout under {KERNEL}")
+            what += [
+                f"{rel} under {KERNEL}" for rel, data in files.items()
+                if file_bytes(trees[1] / rel) != data
             ]
             return f"{label}: {', '.join(what)} differ" if what else None
 
