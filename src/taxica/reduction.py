@@ -142,18 +142,30 @@ def _proportional_groups(lines: np.ndarray, tol: float) -> list[list[int]]:
     return [groups[k] for k in sorted(groups)]
 
 
-def _joined(labels: tuple[str, ...], members) -> str:
-    """Label of a merged line: its members' original labels joined by "+"."""
-    return "+".join(labels[i] for i in members)
+def _group_labels(labels: tuple[str, ...], groups) -> tuple[str, ...]:
+    """Distinct labels of the lines ``groups`` sum into: the members' labels
+    joined by "+" (a line of one member keeps its own), and where an
+    unmerged line or an earlier merged one holds that label, the first free
+    one of it with "#2", "#3", ... appended."""
+    taken = {labels[g[0]] for g in groups if len(g) == 1}
+    out = []
+    for g in groups:
+        label = base = "+".join(labels[i] for i in g)
+        suffix = 2
+        while len(g) > 1 and label in taken:
+            label, suffix = f"{base}#{suffix}", suffix + 1
+        taken.add(label)
+        out.append(label)
+    return tuple(out)
 
 
-def _merge_pass(lines: np.ndarray, groups: list[list[int]], axis: str, labels, steps: list):
+def _merge_pass(lines: np.ndarray, groups: list[list[int]], axis: str, labels, steps: dict):
     """Sum each class of proportional rows of ``lines`` into one row.
 
     ``groups[i]`` holds the original indices behind row i. Returns the new
-    lines and groups, and appends one :class:`MergeStep` per merged class
-    to ``steps``; ``lines`` and ``groups`` come back as given when no two
-    rows are proportional.
+    lines and groups, and adds each merged class to ``steps`` as
+    (axis, members): its members' ``labels`` joined by "+"; ``lines`` and
+    ``groups`` come back as given when no two rows are proportional.
     """
     classes = _proportional_groups(lines, PROPORTIONAL_TOL)
     if len(classes) == len(groups):
@@ -163,7 +175,7 @@ def _merge_pass(lines: np.ndarray, groups: list[list[int]], axis: str, labels, s
         members = sorted(idx for cur in cls for idx in groups[cur])
         merged_groups.append(members)
         if len(cls) > 1:
-            steps.append(MergeStep(axis, tuple(members), _joined(labels, members)))
+            steps[axis, tuple(members)] = "+".join(labels[i] for i in members)
     return np.array([lines[cls].sum(axis=0) for cls in classes]), merged_groups
 
 
@@ -174,7 +186,8 @@ def reduce_to_minimal(table: ContingencyTable) -> ReductionTrace:
     transposed table) until a fixed point: merging rows can make columns
     proportional and vice versa. Within a pass all groups merge at once; a
     merged line is labeled by joining its members' original labels with
-    "+". The grand total n is preserved and the result is unique up to the
+    "+", made distinct by ``_group_labels``, and so is the step that formed
+    it. The grand total n is preserved and the result is unique up to the
     ordering induced by the original table.
     """
     counts = table.counts
@@ -184,7 +197,7 @@ def reduce_to_minimal(table: ContingencyTable) -> ReductionTrace:
     work = counts.copy()
     row_groups: list[list[int]] = [[i] for i in range(table.shape[0])]
     col_groups: list[list[int]] = [[j] for j in range(table.shape[1])]
-    steps: list[MergeStep] = []
+    steps: dict[tuple[str, tuple[int, ...]], str] = {}  # (axis, members) -> label, in merge order
     while True:
         shape = work.shape
         work, row_groups = _merge_pass(work, row_groups, "row", table.row_labels, steps)
@@ -193,15 +206,14 @@ def reduce_to_minimal(table: ContingencyTable) -> ReductionTrace:
         if work.shape == shape:
             break
 
-    minimal = ContingencyTable(
-        tuple(_joined(table.row_labels, g) for g in row_groups),
-        tuple(_joined(table.col_labels, g) for g in col_groups),
-        work,
-    )
+    row_labels = _group_labels(table.row_labels, row_groups)
+    col_labels = _group_labels(table.col_labels, col_groups)
+    for axis, groups, labels in (("row", row_groups, row_labels), ("col", col_groups, col_labels)):
+        steps.update(((axis, tuple(g)), label) for g, label in zip(groups, labels) if len(g) > 1)
     return ReductionTrace(
         original=table,
-        minimal=minimal,
-        steps=tuple(steps),
+        minimal=ContingencyTable(row_labels, col_labels, work),
+        steps=tuple(MergeStep(*key, label) for key, label in steps.items()),
         row_groups=tuple(tuple(g) for g in row_groups),
         col_groups=tuple(tuple(g) for g in col_groups),
     )
@@ -218,6 +230,8 @@ def _index(i, name: str) -> int:
 def apply_grouping(table: ContingencyTable, row_groups, col_groups) -> ContingencyTable:
     """Re-apply a saved partition, summing each group into one line.
 
+    Lines are labeled by ``_group_labels``, so a trace's groups give its
+    minimal table's labels.
     Both arguments must partition the row and column index ranges exactly;
     overlapping or incomplete partitions, empty groups and indices that are
     not integers raise :class:`ValidationError`.
@@ -234,7 +248,5 @@ def apply_grouping(table: ContingencyTable, row_groups, col_groups) -> Contingen
     grouped_rows = np.array([table.counts[g].sum(axis=0) for g in row_groups])
     grouped = np.array([grouped_rows[:, g].sum(axis=1) for g in col_groups]).T
     return ContingencyTable(
-        tuple(_joined(table.row_labels, g) for g in row_groups),
-        tuple(_joined(table.col_labels, g) for g in col_groups),
-        grouped,
+        _group_labels(table.row_labels, row_groups), _group_labels(table.col_labels, col_groups), grouped
     )

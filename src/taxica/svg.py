@@ -20,10 +20,15 @@ _HEIGHT = 540
 _MARGIN = 48
 
 
+#: XML 1.0's non-``Char`` characters but surrogates (UTF-8 text has none), each to U+FFFD.
+_NOT_XML_CHARS = dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
+
+
 def _escape(text: str) -> str:
-    """Escape ``&``, ``>`` and ``<`` for XML text, in the order and with the
-    entities of ``xml.sax.saxutils.escape``; quotes are left as they are."""
-    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    """Map ``_NOT_XML_CHARS``, then escape ``&``, ``>`` and ``<`` for XML
+    text, in the order and with the entities of ``xml.sax.saxutils.escape``;
+    quotes are left as they are."""
+    return text.translate(_NOT_XML_CHARS).replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fallback_labels(labels, size: int) -> list[str]:

@@ -42,15 +42,11 @@ CUT_NORM_MAX_DIM = 15
 #: Length cap for the diagonal subset-sum enumeration.
 DIAGONAL_MAX_LEN = 25
 
-#: Candidates scored per chunk of the sign enumerations: 2^11 columns keep
-#: the I x chunk score buffer cache-sized (2 MB at I = 120).
+#: Candidates per chunk of the sign enumerations, and per batch the exact
+#: enumeration hands to ``_best_end_point``: 2^11 columns keep the I x chunk
+#: float32 screen blocks cache-sized (1 MB each at I = 120).
 _ENUM_CHUNK_BITS = 11
 _ENUM_CHUNK = 1 << _ENUM_CHUNK_BITS
-
-#: Consecutive candidates scored again in float64 around each candidate the
-#: float32 screen keeps. With ``np.einsum``, 64 columns of a 120x15 R took
-#: 41 us, one column 3.5 us and a whole chunk 920 us (2-vCPU Xeon VM).
-_SCREEN_WINDOW = 64
 
 _EPS = float(np.finfo(np.float64).eps)
 _U32 = 2.0**-24  # unit roundoff of float32
@@ -99,65 +95,40 @@ def _enumerate_best(R: np.ndarray) -> tuple[float, np.ndarray, int]:
 
     Returns (objective, w, candidates). Candidate m encodes components
     2..dim: bit (dim-1-j) of m gives component j, 0 meaning +1, so ascending
-    m is ascending lexicographic order with +1 < -1. The first strict
-    maximum wins ties, so the result is the lexicographically smallest
-    maximizer.
+    m is ascending lexicographic order with +1 < -1. The objective is the
+    per-vector float ``_solution`` reports, and the lexicographically
+    smallest of the w that reach its largest value wins.
 
-    Candidates are scored in chunks of ``_ENUM_CHUNK`` consecutive m into
-    preallocated buffers. Within a chunk only the low ``_ENUM_CHUNK_BITS``
-    bits of m vary, so the low rows of the sign block are built once and the
-    high rows are refilled with one constant each per chunk. Each objective
-    is one ``np.einsum`` element per cell (its dim exact terms added in
-    ascending j) and a row-by-row column sum, so it is the same float as in
-    one einsum over every candidate, and the same when a run of columns of
-    the chunk is scored alone.
-
-    A half-sphere of more than one chunk is first screened in float32 (see
-    ``_screen``), and only the windows of ``_SCREEN_WINDOW`` candidates that
-    hold a candidate which can be the float64 maximum are scored in float64,
-    one run per window, in ascending m. Let delta32 and delta64 bound how
-    far the float32 and the float64 score of any candidate lie from its
-    exact ||R w||_1. The float64 winner w* then has a float32 score of at
-    least ||R w*||_1 - delta32 >= (float64 score of w*) - delta64 - delta32,
-    and the float32 winner d scores at most ||R d||_1 + delta32 <=
+    The float32 screen (see ``_screen``) keeps the candidates that can be
+    the float64 maximum, in ascending m; when float32 cannot bound R, every
+    candidate is kept. The kept ones go to ``_best_end_point`` in batches of
+    ``_ENUM_CHUNK``, and the first strict maximum over the batches wins, so
+    one function picks the winner of both solvers. Let delta32 and delta64
+    bound how far the float32 and the float64 score of any candidate lie
+    from its exact ||R w||_1, the float64 one in any summation order. A
+    per-vector winner w* then has a float32 score of at least
+    ||R w*||_1 - delta32 >= (float64 score of w*) - delta64 - delta32, and
+    the float32 winner d scores at most ||R d||_1 + delta32 <=
     (float64 score of d) + delta64 + delta32, which is at most that of w*
-    plus delta64 + delta32. So w* is kept by every screen that keeps the
-    candidates within 2 (delta32 + delta64) of the float32 maximum, the
-    float64 scores of the kept candidates are those of the full
-    enumeration, and the objective, w and the tie rule are unchanged.
+    plus delta64 + delta32. So every per-vector winner is kept by a screen
+    that keeps the candidates within 2 (delta32 + delta64) of the float32
+    maximum, and ``_best_end_point``'s own margin keeps it in its batch.
     """
-    I, dim = R.shape
-    low_signs, chunk_signs = _sign_blocks(dim)
-    high, chunks = chunk_signs.shape
+    low_signs, chunk_signs = _sign_blocks(R.shape[1])
     width = low_signs.shape[1]
-    signs = np.empty((dim, width))
-    signs[high:, :] = low_signs
-    runs = _screen(R, low_signs, chunk_signs) if chunks > 1 else None
-    if runs is None:
-        runs = [(chunk, 0, width) for chunk in range(chunks)]
-    # Whole-chunk sized although a screened axis scores one or two windows:
-    # freeing a block this large raises glibc's dynamic mmap threshold above
-    # the I x width float32 blocks of _screen, so later axes take those from
-    # the heap instead of fresh pages (at 100x15, a window-sized buf costs
-    # 368 minor page faults per call from the third call on, this one none).
-    buf = np.empty(I * width)
-    objs = np.empty(width)
-    best_obj = -np.inf
-    best_w = None
-    filled = -1
-    for chunk, start, stop in runs:
-        if chunk != filled:
-            signs[:high, :] = chunk_signs[:, chunk, None]
-            filled = chunk
-        scores = buf[: I * (stop - start)].reshape(I, stop - start)
-        np.einsum("ij,jm->im", R, signs[:, start:stop], out=scores)
-        np.abs(scores, out=scores)
-        np.add.reduce(scores, axis=0, out=objs[: stop - start])
-        i = int(np.argmax(objs[: stop - start]))
-        if objs[i] > best_obj:
-            best_obj = float(objs[i])
-            best_w = signs[:, start + i].copy()
-    return best_obj, best_w, chunks * width
+    total = chunk_signs.shape[1] * width
+    kept = _screen(R, low_signs, chunk_signs)
+    if kept is None:
+        kept = np.arange(total)
+    abs_total = float(np.abs(R).sum())
+    best_obj, best_w = -np.inf, None
+    for start in range(0, kept.size, _ENUM_CHUNK):
+        m = kept[start : start + _ENUM_CHUNK]
+        signs = np.hstack((chunk_signs.T[m // width], low_signs.T[m % width]))
+        obj, w = _best_end_point(R, signs, abs_total)
+        if obj > best_obj:
+            best_obj, best_w = obj, w
+    return best_obj, best_w, total
 
 
 def _sign_blocks(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -184,9 +155,9 @@ def _gamma32(n: int) -> float:
 
 
 def _screen(R: np.ndarray, low_signs: np.ndarray, chunk_signs: np.ndarray):
-    """The windows (chunk, start, stop) of ``_SCREEN_WINDOW`` sign columns
-    that a float32 pass cannot rule out as the float64 maximum of
-    ``_enumerate_best``, in ascending m; None when float32 cannot bound R.
+    """The candidates m that a float32 pass cannot rule out as a float64
+    maximum of ``_enumerate_best``, in ascending order; None when float32
+    cannot bound R.
 
     R is cast to float32 once. Per axis, L = ``R32[:, high:] @ low_signs``
     and H = ``R32[:, :high] @ chunk_signs`` are formed once, and candidate
@@ -215,17 +186,18 @@ def _screen(R: np.ndarray, low_signs: np.ndarray, chunk_signs: np.ndarray):
     So the float32 score of every candidate lies within
     delta32 = u A + I n 2^-150 + 3 gamma_(n-1) A32
     + 3 (gamma_(I-1) + u (2 + u) (1 + gamma_(I-1))) T of ||R w||_1. The
-    float64 score lies within delta64 = (I + n + 4) eps/2 A, and
+    float64 score, summed in any order, lies within delta64 =
+    (I + n + 4) eps/2 A (see ``_rescore_margin``), and
     ``_rescore_margin(I, n, A)`` is 4 delta64 + 2 eps A. A candidate is kept
     when its float32 score is within 2 delta32 + ``_rescore_margin`` of the
     float32 maximum, which is 2 (delta32 + delta64) plus slack for the
     float64 rounding of A, of delta32 and of that threshold. There is no
-    screen, and every chunk is scored in float64, when A is not below 2^125
-    (this includes every R whose float32 cast is not finite), since a
-    float32 value, up to about 4 A, could then overflow, or when
-    delta32 is not finite (n u or I u reaching 1). A kept candidate keeps
-    the aligned window of ``_SCREEN_WINDOW`` candidates that holds it, and
-    each kept window is its own run.
+    screen when A is not below 2^125 (this includes every R whose float32
+    cast is not finite), since a float32 value, up to about 4 A, could then
+    overflow, or when delta32 is not finite (n u or I u reaching 1). The
+    two I x width float32 blocks are one allocation: freed, it raises
+    glibc's dynamic mmap threshold above its own size, so the next axis
+    takes it from the heap instead of fresh pages.
     """
     I, n = R.shape
     abs_total = float(np.abs(R).sum())
@@ -242,11 +214,11 @@ def _screen(R: np.ndarray, low_signs: np.ndarray, chunk_signs: np.ndarray):
     R32 = R.astype(np.float32)
     high, chunks = chunk_signs.shape
     width = low_signs.shape[1]
-    low_part = R32[:, high:] @ low_signs.astype(np.float32)
+    low_part, buf = np.empty((2, I, width), dtype=np.float32)
+    np.matmul(R32[:, high:], low_signs.astype(np.float32), out=low_part)
     high_part = R32[:, :high] @ chunk_signs.astype(np.float32)
     neg_high = np.ascontiguousarray(-high_part.T)
     ones = np.ones(I, dtype=np.float32)
-    buf = np.empty_like(low_part)
     objs = np.empty((chunks, width), dtype=np.float32)
     for chunk in range(chunks):
         np.maximum(low_part, neg_high[chunk, :, None], out=buf)
@@ -256,11 +228,7 @@ def _screen(R: np.ndarray, low_signs: np.ndarray, chunk_signs: np.ndarray):
     objs += (ones @ high_part)[:, None]
     # a float64 threshold, so the float32 scores are compared exactly
     threshold = np.float64(float(objs.max()) - 2.0 * delta32 - _rescore_margin(I, n, abs_total))
-    kept = (objs >= threshold).reshape(chunks, width // _SCREEN_WINDOW, _SCREEN_WINDOW).any(axis=2)
-    return [
-        (chunk, window * _SCREEN_WINDOW, (window + 1) * _SCREEN_WINDOW)
-        for chunk, window in np.argwhere(kept).tolist()
-    ]
+    return np.flatnonzero(objs >= threshold)
 
 
 def tca_axis_exact(R) -> TcaAxisSolution:
@@ -321,22 +289,27 @@ def _rescore_margin(I: int, J: int, abs_total: float) -> float:
     return 2.0 * (I + J + 5) * _EPS * abs_total
 
 
-def _best_end_point(R: np.ndarray, U: np.ndarray, abs_total: float) -> np.ndarray:
-    """Best +-1 row u of U: the largest ||R u||_1 as ``_solution`` sums it,
-    ties going to the lexicographically smallest u (+1 before -1), the rule
-    ``_enumerate_best`` applies.
+def _best_end_point(R: np.ndarray, U: np.ndarray, abs_total: float) -> tuple[float, np.ndarray]:
+    """Best +-1 row u of U and its objective: the largest ||R u||_1 as
+    ``_solution`` sums it, ties going to the lexicographically smallest u
+    (+1 before -1). Both solvers pick their winner here.
 
     All rows are scored in one product, as the row sums of |U R'|. The
     distinct rows within ``_rescore_margin`` of the best of those are sorted
-    by their bytes and scored again with the per-vector expression, and the
-    first maximum wins, so the winner is that of scoring every row alone.
+    by their bytes and scored again in one ``np.einsum`` block whose row m
+    sums |R u_m| as ``_solution`` does, element for element and bit for bit,
+    and the first maximum wins, so the winner is that of scoring every row
+    alone.
     """
     approx = np.abs(U @ R.T).sum(axis=1)
-    near = U[approx >= approx.max() - _rescore_margin(*R.shape, abs_total)]
+    # "not below", so that inf - inf (sum|R| overflowed) keeps every row
+    near = U[~(approx < approx.max() - _rescore_margin(*R.shape, abs_total))]
     # +1.0 and -1.0 differ only in the sign-bit byte, so bytes sort +1 first
     keys = sorted({u.tobytes() for u in near})
-    objectives = [float(np.abs(np.einsum("ij,j->i", R, np.frombuffer(key))).sum()) for key in keys]
-    return np.frombuffer(keys[objectives.index(max(objectives))]).copy()
+    rows = np.frombuffer(b"".join(keys)).reshape(len(keys), U.shape[1])
+    objectives = np.abs(np.einsum("ij,mj->mi", R, rows)).sum(axis=1)
+    best = int(np.argmax(objectives))
+    return float(objectives[best]), rows[best].copy()
 
 
 def tca_axis_iterative(R) -> TcaAxisSolution:
@@ -346,9 +319,9 @@ def tca_axis_iterative(R) -> TcaAxisSolution:
     v = sign(R u); the objective never decreases and the state space is
     finite, so every start stops at its first (u, v) state that repeats any
     earlier one, keeping that u. The best fixed point over all J starts is
-    returned, ties going to the lexicographically smallest u, as in the
-    exact enumeration (see ``_best_end_point``). The result is a lower bound
-    for the exact objective.
+    returned, ties going to the lexicographically smallest u, by the same
+    function as in the exact enumeration (see ``_best_end_point``). The
+    result is a lower bound for the exact objective.
 
     All starts advance in lockstep, one gemm per half-step, and a start
     leaves the batch once it stops. Each entry of M x over a +-1 vector x
@@ -396,7 +369,7 @@ def tca_axis_iterative(R) -> TcaAxisSolution:
             U, history = U.compress(keep, axis=0), history.compress(keep, axis=1)
         V = sign_vector(_guarded_product(U, R.T, tol_v))  # v = sign(R u)
 
-    best_u = _best_end_point(R, np.concatenate(ends), float(col_abs.sum()))
+    _, best_u = _best_end_point(R, np.concatenate(ends), float(col_abs.sum()))
     return _solution(R, best_u, "iterative", J)
 
 

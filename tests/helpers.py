@@ -88,13 +88,14 @@ def half_sphere_signs(dim: int) -> np.ndarray:
 
 
 def enumerate_oracle(R):
-    """One-shot sign enumeration: every half-sphere sign vector in one gemm,
-    first argmax. Returns (objective, w, candidates) as
-    ``tca._enumerate_best`` does."""
-    signs = half_sphere_signs(R.shape[1])
-    objs = np.abs(R @ signs).sum(axis=0)
-    i = int(np.argmax(objs))
-    return objs[i], signs[:, i], signs.shape[1]
+    """Sign enumeration by its contract: every half-sphere sign vector, as
+    a contiguous vector in lex order, scored alone as ``tca._solution``
+    scores it, and the first maximum wins. Returns (objective, w,
+    candidates) as ``tca._enumerate_best`` does."""
+    signs = np.ascontiguousarray(half_sphere_signs(R.shape[1]).T)
+    objs = [float(np.abs(np.einsum("ij,j->i", R, w)).sum()) for w in signs]
+    i = objs.index(max(objs))
+    return objs[i], signs[i], len(objs)
 
 
 def max_abs_diff_up_to_sign(got, want) -> float:

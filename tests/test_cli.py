@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,26 @@ class TestReduce:
         assert minimal.counts.tolist() == [[18, 0], [0, 3]]
         assert payload["trace"]["row_groups"] == [[0, 1, 3], [2]]
         assert payload["trace"]["steps"][0]["new_label"] == "r1+r2+r4"
+
+    @pytest.mark.parametrize(
+        "csv_text, labels, merged",
+        [
+            # the merged a and b join to the label an unmerged column holds
+            (",a,b,a+b\nr1,1,2,5\nr2,2,4,1\nr3,3,6,2\n", ["a+b#2", "a+b"], ["a+b#2"]),
+            # two merged pairs join to the same label
+            (",a,b+c,a+b,c\nr1,1,2,1,2\nr2,2,4,1,2\nr3,3,6,5,10\n", ["a+b+c", "a+b+c#2"], ["a+b+c", "a+b+c#2"]),
+        ],
+        ids=["merged-vs-unmerged", "merged-vs-merged"],
+    )
+    def test_colliding_merged_labels_are_made_unique(self, capsys, tmp_path, csv_text, labels, merged):
+        path = tmp_path / "collide.csv"
+        path.write_text(csv_text)
+        payload = run_json(capsys, ["reduce", "--input", str(path), "--format", "json"])
+        assert list(parse_table(payload["minimal_csv"]).col_labels) == labels
+        assert [step["new_label"] for step in payload["trace"]["steps"]] == merged
+        for argv in (["summarize"], ["tca", "--reduced"]):
+            assert run_cli([*argv, "--input", str(path)]) == 0
+        assert labels[0] in capsys.readouterr().out
 
 
 class TestEngines:
@@ -279,6 +300,14 @@ class TestPlot:
         )
         svg = out_path.read_text()
         assert svg.startswith("<?xml") and "<svg" in svg
+
+    def test_control_character_in_a_label_gives_a_parsable_svg(self, capsys, tmp_path):
+        path = tmp_path / "control.csv"
+        path.write_text(',a,b,c\n"r\x011",5,1,2\nr2,1,4,1\nr3,2,2,7\n')
+        out_path = tmp_path / "map.svg"
+        assert run_cli(["plot", "--input", str(path), "--output", str(out_path)]) == 0
+        texts = {node.text for node in ET.parse(out_path).iter("{http://www.w3.org/2000/svg}text")}
+        assert "r\ufffd1" in texts
 
     def test_identical_axes_fail(self, capsys):
         code = run_cli(["plot", "--input", TV, "--axis-x", "1", "--axis-y", "1"])

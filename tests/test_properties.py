@@ -14,15 +14,16 @@ from taxica import (
     serialize_table,
     seven_number,
     symmetric_eigen,
+    tca_axis_exact,
     tca_decompose,
     verify,
 )
 
 from taxica.errors import NumericalError
 from taxica.reduction import _check_cross_products, _proportional_to, _proportional_groups
-from taxica.tca import _enumerate_best
+from taxica.tca import _enumerate_best, _solution
 
-from helpers import enumerate_oracle, make_table
+from helpers import enumerate_oracle, half_sphere_signs, make_table
 
 
 @st.composite
@@ -91,6 +92,30 @@ def enumeration_matrices(draw):
         R -= R.mean(axis=0)
         R -= R.mean(axis=1, keepdims=True)
     return R * draw(st.sampled_from([1.0, 1.0, 1e-41, 1e39]))
+
+
+def _tie_matrix(M):
+    """R = [M; M with columns 1 and 2 swapped]. A sign vector w and w with
+    components 1 and 2 swapped give the same entries of R w, in another
+    order, so their exact objectives tie and rounding alone can part them."""
+    swap = [0, 2, 1, *range(3, M.shape[1])]
+    return np.vstack([M, M[:, swap]])
+
+
+@st.composite
+def tie_matrices(draw):
+    """``_tie_matrix`` of a Gaussian M of 2-6 rows and 3-8 columns, at most
+    twice as many columns as rows (so the exact solver enumerates the
+    columns), each row scaled by its own power of ten."""
+    rows = draw(st.integers(2, 6))
+    cols = draw(st.integers(3, min(8, 2 * rows)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _tie_matrix(rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-4, 4, size=(rows, 1)))
+
+
+def _seeded_tie_matrix():
+    rng = np.random.default_rng(21)
+    return _tie_matrix(rng.normal(size=(5, 4)) * 10.0 ** rng.integers(-4, 4, size=(5, 1)))
 
 
 @st.composite
@@ -186,6 +211,20 @@ class TestEnumerationProperties:
         assert objective == expected_objective
         assert w.tolist() == expected_w.tolist()
         assert tried == expected_tried
+
+    @given(tie_matrices())
+    # [1, 1, -1, 1] and [1, -1, 1, 1] tie exactly; one scores 2 ulp higher
+    # as _solution sums it.
+    @example(_seeded_tie_matrix())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_axis_is_the_first_per_vector_maximizer(self, R):
+        signs = np.ascontiguousarray(half_sphere_signs(R.shape[1]).T)
+        objectives = [_solution(R, w, "exact", 0).objective for w in signs]
+        best = max(objectives)
+        solution = tca_axis_exact(R)
+        assert solution.objective == best
+        assert solution.u.tolist() == signs[objectives.index(best)].tolist()
+        assert _enumerate_best(R)[0] == best
 
 
 class TestProportionalityProperties:

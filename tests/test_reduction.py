@@ -336,6 +336,24 @@ class TestApplyGrouping:
         with pytest.raises(ValidationError, match=f"{axis} index .* is not an integer"):
             apply_grouping(toy_table, row_groups, col_groups)
 
+    @pytest.mark.parametrize(
+        "col_labels, counts, minimal_labels",
+        [
+            (("a", "b", "a+b"), [[1, 2, 5], [2, 4, 1], [3, 6, 2]], ("a+b#2", "a+b")),
+            (("a", "b+c", "a+b", "c"), [[1, 2, 1, 2], [2, 4, 1, 2], [3, 6, 5, 10]], ("a+b+c", "a+b+c#2")),
+            (("a+b#2", "a", "b", "a+b"), [[1, 1, 2, 5], [1, 2, 4, 1], [9, 3, 6, 2]], ("a+b#2", "a+b#3", "a+b")),
+        ],
+        ids=["merged-vs-unmerged", "merged-vs-merged", "suffix-taken"],
+    )
+    def test_trace_groups_give_the_minimal_labels(self, col_labels, counts, minimal_labels):
+        table = make_table(counts, col_labels=col_labels)
+        trace = reduce_to_minimal(table)
+        labels = trace.minimal.col_labels
+        assert labels == minimal_labels
+        assert apply_grouping(table, trace.row_groups, trace.col_groups).col_labels == labels
+        final = {g: lab for g, lab in zip(trace.col_groups, labels)}
+        assert all(step.new_label == final[step.merged_indices] for step in trace.steps)
+
     def test_numpy_integer_indices_accepted(self, toy_table):
         grouped = apply_grouping(
             toy_table, [np.array([0, 1, 3]), (np.int64(2),)], [(np.uint8(0), 1), (2, 3)]

@@ -1,3 +1,4 @@
+import xml.etree.ElementTree as ET
 from xml.dom import minidom
 from xml.sax import saxutils
 
@@ -84,7 +85,27 @@ class TestSvgBiplot:
         assert {"a<b", "c&d", "e>f", "a&lt;b", "q\"u'o"} <= labels
 
 
+#: Every character outside XML 1.0's Char production, #x9 | #xA | #xD |
+#: [#x20-#xD7FF] | [#xE000-#xFFFD] | [#x10000-#x10FFFF], but the surrogates.
+NOT_XML_CHARS = [chr(c) for c in range(0x20) if c not in (0x9, 0xA, 0xD)] + ["\ufffe", "\uffff"]
+
+
+@pytest.mark.parametrize("char", NOT_XML_CHARS, ids=[f"U+{ord(c):04X}" for c in NOT_XML_CHARS])
+def test_labels_outside_xml_chars_still_parse(char):
+    # written as they are, each makes the SVG not well-formed
+    table = make_table(
+        [[5, 1, 2], [1, 4, 1], [2, 2, 7]],
+        row_labels=(f"r{char}1", "r2", "r3"),
+        col_labels=("a", f"b{char}", "c"),
+    )
+    svg = emit_svg_biplot(ca_decompose(build_model(table)), 1, 2)
+    texts = {node.text for node in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")}
+    assert {"r\ufffd1", "b\ufffd", "r2", "a"} <= texts
+
+
 @given(st.text(st.sampled_from("&<>;\"'alt") | st.characters()))
 @settings(max_examples=300, deadline=None)
 def test_escape_matches_saxutils(text):
-    assert _escape(text) == saxutils.escape(text)
+    # saxutils escapes every character; _escape first maps those XML cannot hold
+    xml_text = "".join("\ufffd" if c in NOT_XML_CHARS else c for c in text)
+    assert _escape(text) == saxutils.escape(xml_text)

@@ -23,7 +23,6 @@ from taxica import (
 
 from taxica.tca import (
     _ENUM_CHUNK,
-    _SCREEN_WINDOW,
     EXACT_THRESHOLD,
     _enumerate_best,
     _rescore_margin,
@@ -135,6 +134,15 @@ class TestAxisExact:
         with pytest.raises(ValidationError, match=match):
             tca_axis_exact(R)
 
+    @pytest.mark.parametrize("solver", [tca_axis_exact, tca_axis_iterative])
+    def test_objective_past_the_float_range(self, solver):
+        # sum|R| overflows, so the rescoring margin is inf and the threshold
+        # inf - inf; every end point must stay a candidate, or none is left
+        R = np.array([[1e308, -1e308, 1.0], [1e308, 1e308, 2.0], [3.0, 1.0, 1e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            solution = solver(R)
+        assert (solution.u.tolist(), solution.objective) == ([1.0, 1.0, 1.0], np.inf)
+
     def test_sign_invariant_v(self, rodents_table):
         R0 = build_model(rodents_table).R0
         sol = tca_axis_exact(R0)
@@ -142,7 +150,7 @@ class TestAxisExact:
 
 
 class TestEnumerateBest:
-    """The chunked enumeration against the one-shot oracle, bit for bit.
+    """The screened enumeration against the per-vector oracle, bit for bit.
 
     The chunk is 2^11 candidates, so dim 12 fills exactly one chunk, dim 11
     half of one and dim 13 two."""
@@ -151,7 +159,8 @@ class TestEnumerateBest:
     @pytest.mark.parametrize(
         "rows, dim",
         [(rows, dim) for rows in (2, 3, 5, 40) for dim in (1, 2, 5, 11, 12, 13)]
-        + [(2, 16), (4, 15), (3, 14)],
+        + [(2, 16), (4, 15), (3, 14)]
+        + [(rows, dim) for rows in (120, 400) for dim in (6, 12)],
     )
     def test_matches_one_shot_oracle(self, rows, dim, kind):
         R = _enumeration_case(rows, dim, kind, seed=1000 * rows + 10 * dim + len(kind))
@@ -192,6 +201,18 @@ class TestEnumerateBest:
             assert w.tolist() == expected_w.tolist()
             assert tried == expected_tried
 
+    def test_sixth_axis_of_a_count_table_is_the_per_vector_maximizer(self):
+        # The last axis of a seeded 13x7 table: the sign vector below and
+        # [1, -1, -1, 1, -1, 1, -1] tie but for rounding, and this one
+        # scores 1 ulp higher as _solution sums it.
+        rng = np.random.default_rng(91)
+        counts = rng.poisson(3.0, (13, 7)) * (rng.random((13, 7)) < 0.3)
+        counts[:, 0] += 1
+        counts[0, :] += 1
+        sixth = tca_decompose(build_model(make_table(counts))).solutions[5]
+        assert sixth.u.tolist() == [1, 1, -1, 1, -1, 1, -1]
+        assert sixth.objective == 0.11416893844166522
+
     @pytest.mark.parametrize(
         "scale, screened",
         [(1.0, True), (1e-41, True), (1e-47, True), (1e37, False), (1e39, False)],
@@ -200,7 +221,8 @@ class TestEnumerateBest:
     def test_matches_oracle_at_the_edges_of_float32(self, scale, screened):
         # 1e-41 casts to float32 subnormals with a few bits left, 1e-47 to
         # zero; at 1e37 the cast is finite but sum|R| is past 2^125, and at
-        # 1e39 the cast overflows, so both are scored in float64 only.
+        # 1e39 the cast overflows, so both hand every candidate to
+        # _best_end_point.
         R = _enumeration_case(40, 14, "gauss", seed=7) * scale
         assert (_screen(R, *_sign_blocks(14)) is not None) == screened
         objective, w, _ = _enumerate_best(R)
@@ -220,11 +242,8 @@ class TestEnumerateBest:
         assert w.tolist() == expected_w.tolist()
 
     def test_all_zero_matrix_keeps_every_chunk(self):
-        # every window of the 4 chunks, each as its own run
-        windows = range(0, _ENUM_CHUNK, _SCREEN_WINDOW)
-        assert _screen(np.zeros((5, 14)), *_sign_blocks(14)) == [
-            (chunk, start, start + _SCREEN_WINDOW) for chunk in range(4) for start in windows
-        ]
+        # every candidate of the 4 chunks ties at 0
+        assert _screen(np.zeros((5, 14)), *_sign_blocks(14)).tolist() == list(range(4 * _ENUM_CHUNK))
         objective, w, tried = _enumerate_best(np.zeros((5, 14)))
         assert (objective, w.tolist(), tried) == (0.0, [1.0] * 14, 2**13)
 
@@ -232,17 +251,14 @@ class TestEnumerateBest:
         "seed, scale", [(0, 1.0), (1, 1.0), (7, 1.0), (1, 1e-43), (2, 1e-43), (3, 1e-43)]
     )
     def test_near_tie_inside_the_float32_margin(self, seed, scale):
-        # The best two candidates of different windows, 1e-9 apart in
-        # float64: far below float32's resolution. Seeds picked so that a
-        # screen keeping only the float32 maximum picks the wrong one, and
+        # The best two candidates of different aligned blocks of 64, 1e-9
+        # apart in float64: far below float32's resolution. Seeds picked so
+        # that a screen keeping only the float32 maximum picks the wrong one, and
         # at scale 1e-43 (float32 subnormals of a few bits) also one without
         # the underflow term of delta32.
         R, first, second = _near_tie(seed)
         R *= scale
-        runs = _screen(R, *_sign_blocks(14))
-        assert all(stop - start == _SCREEN_WINDOW for _, start, stop in runs)
-        kept = {chunk * _ENUM_CHUNK + m for chunk, start, stop in runs for m in range(start, stop)}
-        assert {first, second} <= kept
+        assert {first, second} <= set(_screen(R, *_sign_blocks(14)).tolist())
         objective, w, _ = _enumerate_best(R)
         expected_objective, expected_w, _ = enumerate_oracle(R)
         assert objective == expected_objective
@@ -275,11 +291,11 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     reason="pins glibc's dynamic mmap threshold",
 )
 def test_screened_axes_reuse_heap_blocks():
-    # _enumerate_best's whole-chunk float64 buffer raises glibc's mmap
-    # threshold when freed, so the float32 blocks of _screen come from the
-    # heap from the third call on; with a window-sized buffer each call
-    # mapped fresh pages (368 minor faults). A fresh process, since blocks
-    # left by other tests would hide the difference.
+    # _screen allocates its two I x width float32 blocks as one block,
+    # which raises glibc's mmap threshold above its size when freed, so
+    # from the third call on it comes from the heap; as two separate blocks
+    # each call mapped fresh pages (368 minor faults). A fresh process,
+    # since blocks left by other tests would hide the difference.
     proc = subprocess.run(
         [sys.executable, "-c", THIRD_CALL_FAULTS], capture_output=True, env=cli_env("1")
     )
@@ -289,9 +305,9 @@ def test_screened_axes_reuse_heap_blocks():
 
 def _near_tie(seed, rows=60, dim=14, gap=1e-9):
     """A Gaussian R whose best candidate ``first`` and the best candidate
-    ``second`` outside its window of 64 differ by ``gap`` relative: one entry
-    in a row where both have the same sign, and a column where they differ,
-    moves the gap by twice its change."""
+    ``second`` outside its aligned block of 64 (``window``) differ by
+    ``gap`` relative: one entry in a row where both have the same sign, and
+    a column where they differ, moves the gap by twice its change."""
     rng = np.random.default_rng(seed)
     R = rng.normal(size=(rows, dim))
     signs = half_sphere_signs(dim)
